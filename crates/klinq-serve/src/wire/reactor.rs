@@ -180,19 +180,100 @@ struct Completion {
     result: Result<Vec<ShotStates>, ServeError>,
 }
 
+/// The reactor's completion wake: interrupts a parked `epoll_wait` when
+/// a fleet collector thread finishes a request (a no-op for the
+/// poll-loop transport, whose bounded sleep re-checks on its own).
+///
+/// Wakes are coalesced: `pending` records that the eventfd already
+/// holds a count the reactor has not consumed, so a collector
+/// completing a burst of requests pays one eventfd write for the
+/// burst, not one per completion.
+///
+/// **Ordering.** Collectors push to the queue, then [`wake`](Self::wake)
+/// (swap `pending` to `true`; write the eventfd only if it was
+/// `false`). The reactor [`consume`](Self::consume)s (read the eventfd
+/// *first*, re-arm `pending = false` *after*) and then drains the
+/// queue. This guarantees that once the reactor has drained, every
+/// completion still queued or pushed later leaves the eventfd readable:
+///
+/// - A wake whose swap lands *after* the re-arm either sees `false` and
+///   writes the eventfd after the read, or sees the `true` of another
+///   wake that did so. The count survives until the next consume. (The
+///   re-arm is a `Release` store and the swap `AcqRel`, so a swap that
+///   reads the re-arm's `false` happens after the eventfd read.)
+/// - A wake whose swap lands *before* the re-arm may have its count
+///   swallowed by the read, but then its push came before the re-arm
+///   too, so the drain that follows the re-arm takes it.
+///
+/// The reverse order (re-arm, then read) loses wakeups: a wake in
+/// between writes a count that the read swallows while `pending` stays
+/// `true`, so every later wake skips the write and completions wait for
+/// the loop's park timeout.
+struct Waker {
+    #[cfg(target_os = "linux")]
+    eventfd: Option<epoll::EventFd>,
+    pending: AtomicBool,
+}
+
+impl Waker {
+    /// The epoll transport's waker, signalling through `eventfd`.
+    #[cfg(target_os = "linux")]
+    fn eventfd(eventfd: epoll::EventFd) -> Self {
+        Self {
+            eventfd: Some(eventfd),
+            pending: AtomicBool::new(false),
+        }
+    }
+
+    /// The poll-loop transport's waker: nothing to interrupt.
+    fn inert() -> Self {
+        Self {
+            #[cfg(target_os = "linux")]
+            eventfd: None,
+            pending: AtomicBool::new(false),
+        }
+    }
+
+    /// Makes the reactor's next (or current) park return. Coalesced:
+    /// only the first wake since the last [`consume`](Self::consume)
+    /// pays the eventfd write.
+    fn wake(&self) {
+        if self.pending.swap(true, Ordering::AcqRel) {
+            return;
+        }
+        #[cfg(target_os = "linux")]
+        if let Some(eventfd) = &self.eventfd {
+            eventfd.notify();
+        }
+    }
+
+    /// Resets the eventfd after it woke the reactor and re-arms
+    /// [`wake`](Self::wake). Drain the completion queue after this, not
+    /// before (see the type docs for why the order is load-bearing).
+    #[cfg(target_os = "linux")]
+    fn consume(&self) {
+        self.consume_with(|| {});
+    }
+
+    /// [`consume`](Self::consume) with `between` run after the eventfd
+    /// read and before the re-arm: the seam the interleaving test uses
+    /// to land a collector's push and wake inside that window.
+    #[cfg(target_os = "linux")]
+    fn consume_with(&self, between: impl FnOnce()) {
+        if let Some(eventfd) = &self.eventfd {
+            eventfd.drain();
+        }
+        between();
+        self.pending.store(false, Ordering::Release);
+    }
+}
+
 /// The cross-thread completion queue: fleet collector threads push via
-/// the submission callback, the reactor drains in its loop. The waker
-/// (epoll transport only) interrupts `epoll_wait` so a completion is
-/// picked up immediately rather than at the next timeout.
+/// the submission callback, the reactor drains in its loop after
+/// consuming the [`Waker`].
 pub(crate) struct Completions {
     queue: Mutex<Vec<Completion>>,
-    #[cfg(target_os = "linux")]
-    waker: Option<epoll::EventFd>,
-    /// Whether a wake is already pending at the reactor: collector
-    /// threads completing a burst of requests then pay one eventfd
-    /// syscall for the burst, not one per completion.
-    #[cfg(target_os = "linux")]
-    notified: AtomicBool,
+    waker: Waker,
 }
 
 impl std::fmt::Debug for Completions {
@@ -202,6 +283,13 @@ impl std::fmt::Debug for Completions {
 }
 
 impl Completions {
+    fn new(waker: Waker) -> Self {
+        Self {
+            queue: Mutex::new(Vec::new()),
+            waker,
+        }
+    }
+
     /// The queue mutex is held only across a `Vec` push or take, so a
     /// poisoned lock (some holder panicked) cannot have left the queue
     /// half-mutated — recover the guard instead of cascading the panic
@@ -214,35 +302,11 @@ impl Completions {
 
     fn push(&self, completion: Completion) {
         self.queue().push(completion);
-        self.wake();
-    }
-
-    /// Interrupts a parked `epoll_wait` (no-op for the poll-loop
-    /// transport, whose bounded sleep re-checks on its own). Coalesced:
-    /// only the first wake since the reactor last drained pays the
-    /// eventfd syscall.
-    pub(crate) fn wake(&self) {
-        #[cfg(target_os = "linux")]
-        if let Some(waker) = &self.waker {
-            if !self.notified.swap(true, Ordering::AcqRel) {
-                waker.notify();
-            }
-        }
+        self.waker.wake();
     }
 
     fn drain(&self) -> Vec<Completion> {
         std::mem::take(&mut *self.queue())
-    }
-
-    #[cfg(target_os = "linux")]
-    fn drain_waker(&self) {
-        // Re-arm before draining: a push racing past this point either
-        // sees `false` and notifies (a harmless spurious wakeup) or is
-        // already in the queue this iteration drains.
-        self.notified.store(false, Ordering::Release);
-        if let Some(waker) = &self.waker {
-            waker.drain();
-        }
     }
 }
 
@@ -331,7 +395,7 @@ impl Reactor {
             for &event in &events {
                 match event.token {
                     LISTENER_TOKEN => accept_pending = true,
-                    WAKER_TOKEN => self.completions.drain_waker(),
+                    WAKER_TOKEN => self.completions.waker.consume(),
                     token => {
                         if event.readable {
                             self.conn_readable(token, now);
@@ -352,7 +416,7 @@ impl Reactor {
             dirty.sort_unstable();
             dirty.dedup();
             for &token in &dirty {
-                self.settle_conn(token);
+                self.settle_conn(token, now);
             }
             self.reap_idle(now);
             self.sync_listener_interest();
@@ -386,7 +450,7 @@ impl Reactor {
                         conn.flush(now);
                     }
                 }
-                self.settle_conn(token);
+                self.settle_conn(token, now);
             }
             self.reap_idle(now);
             if !progress {
@@ -403,15 +467,36 @@ impl Reactor {
     /// still answered and every reply byte flushed — shutdown drains,
     /// it never drops. Once the grace window ends ([`DRAIN_GRACE`]),
     /// [`Self::drain_tick`] forces the wind-down.
+    ///
+    /// Work that reached the server before the shutdown but that the
+    /// loop has not picked up yet is admitted first, before the drain
+    /// starts refusing: peers still in the kernel accept backlog are
+    /// accepted, and requests still in a kernel receive buffer are read.
     fn enter_shutdown(&mut self, now: Instant) {
+        self.accept_ready(now);
+        let tokens: Vec<u64> = self.conns.keys().copied().collect();
+        for &token in &tokens {
+            self.read_pass(token, now);
+        }
         self.draining = true;
         self.drain_deadline = Some(now + DRAIN_GRACE);
-        let tokens: Vec<u64> = self.conns.keys().copied().collect();
         for token in tokens {
             if let Some(conn) = self.conns.get_mut(&token) {
                 conn.flush(now);
             }
-            self.settle_conn(token);
+            self.settle_conn(token, now);
+        }
+    }
+
+    /// Reads what the kernel already holds for a connection (up to one
+    /// readable event's budget) and processes the frames it yields.
+    /// Fault injection is suspended for the pass: its read stalls model
+    /// bytes still in flight, and these bytes have arrived.
+    fn read_pass(&mut self, token: u64, now: Instant) {
+        let chaos = self.conns.get_mut(&token).and_then(|c| c.chaos.take());
+        self.conn_readable(token, now);
+        if let Some(conn) = self.conns.get_mut(&token) {
+            conn.chaos = chaos;
         }
     }
 
@@ -439,7 +524,7 @@ impl Reactor {
                 conn.closing = true;
                 conn.flush(now);
             }
-            self.settle_conn(token);
+            self.settle_conn(token, now);
         }
     }
 
@@ -476,7 +561,7 @@ impl Reactor {
                     }
                     self.conns.insert(token, conn);
                     if self.draining {
-                        self.settle_conn(token);
+                        self.settle_conn(token, now);
                     } else {
                         self.register_conn(token);
                     }
@@ -713,7 +798,7 @@ impl Reactor {
         // comes straight back around and draws again.
         if let Some(chaos) = &mut self.chaos {
             if chaos.defer_completions() {
-                self.completions.wake();
+                self.completions.waker.wake();
                 return Vec::new();
             }
         }
@@ -733,7 +818,19 @@ impl Reactor {
 
     /// Closes a connection that finished winding down, or re-syncs its
     /// epoll interest with its buffer state.
-    fn settle_conn(&mut self, token: u64) {
+    fn settle_conn(&mut self, token: u64, now: Instant) {
+        if self.draining
+            && self
+                .conns
+                .get(&token)
+                .is_some_and(|conn| !conn.should_close() && conn.drained())
+        {
+            // A final read pass before judging the connection done:
+            // closing with unread bytes sends an RST, which would lose
+            // requests still in the kernel receive buffer. Read, they
+            // get their typed `Draining` answers instead.
+            self.read_pass(token, now);
+        }
         let should_close = match self.conns.get(&token) {
             // A draining server also closes connections that are simply
             // *done* — nothing in flight, nothing buffered either way —
@@ -913,29 +1010,16 @@ impl WireServer {
                 ep.add(waker.as_raw_fd(), WAKER_TOKEN, true, false)?;
                 (
                     Driver::Epoll(ep),
-                    Arc::new(Completions {
-                        queue: Mutex::new(Vec::new()),
-                        waker: Some(waker),
-                        notified: AtomicBool::new(false),
-                    }),
+                    Completions::new(Waker::eventfd(waker)),
                     true,
                 )
             }
             #[cfg(not(target_os = "linux"))]
             // klinq-lint: allow(no-panic-serve) resolve() rejects epoll off-Linux before construction reaches this arm
             Transport::Epoll => unreachable!("resolve() rejects epoll off-Linux"),
-            _ => (
-                Driver::PollLoop,
-                Arc::new(Completions {
-                    queue: Mutex::new(Vec::new()),
-                    #[cfg(target_os = "linux")]
-                    waker: None,
-                    #[cfg(target_os = "linux")]
-                    notified: AtomicBool::new(false),
-                }),
-                false,
-            ),
+            _ => (Driver::PollLoop, Completions::new(Waker::inert()), false),
         };
+        let completions = Arc::new(completions);
         let stop = Arc::new(AtomicBool::new(false));
         let counters = Arc::new(WireCounters::default());
         let chaos_seed = config.chaos_seed.or_else(chaos::env_seed);
@@ -1004,7 +1088,7 @@ impl WireServer {
             return;
         };
         self.stop.store(true, Ordering::Release);
-        self.completions.wake();
+        self.completions.waker.wake();
         // Give the reactor a moment to finish cleanly (the common case:
         // nothing in flight), then detach — it exits on its own once
         // the last in-flight reply is delivered.
@@ -1028,5 +1112,108 @@ impl WireServer {
 impl Drop for WireServer {
     fn drop(&mut self) {
         self.close();
+    }
+}
+
+#[cfg(all(test, target_os = "linux"))]
+mod tests {
+    use super::*;
+
+    /// Where a collector's push and wake land in one reactor iteration:
+    /// wake on the eventfd, [`Waker::consume`], then drain the queue.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Landing {
+        BeforeRead,
+        BetweenReadAndRearm,
+        AfterRearm,
+        AfterDrain,
+    }
+
+    const LANDINGS: [Landing; 4] = [
+        Landing::BeforeRead,
+        Landing::BetweenReadAndRearm,
+        Landing::AfterRearm,
+        Landing::AfterDrain,
+    ];
+
+    /// A collector finishing request `req_id`: push, then wake.
+    fn complete(completions: &Completions, req_id: u64) {
+        completions.push(Completion {
+            token: FIRST_CONN_TOKEN,
+            req_id,
+            result: Ok(Vec::new()),
+        });
+    }
+
+    /// Whether a reactor parked on `ep` would wake now. A zero-timeout
+    /// wait, so unlike reading the eventfd it leaves the count alone.
+    fn would_wake(ep: &epoll::Epoll) -> bool {
+        let mut events = Vec::new();
+        ep.wait(&mut events, Some(Duration::ZERO))
+            .expect("epoll_wait");
+        events.iter().any(|e| e.token == WAKER_TOKEN && e.readable)
+    }
+
+    fn req_ids(batch: Vec<Completion>) -> Vec<u64> {
+        batch.into_iter().map(|c| c.req_id).collect()
+    }
+
+    #[test]
+    fn no_wake_is_lost_wherever_a_collector_lands_in_consume_then_drain() {
+        for landing in LANDINGS {
+            let eventfd = epoll::EventFd::new().expect("eventfd");
+            let ep = epoll::Epoll::new().expect("epoll");
+            ep.add(eventfd.as_raw_fd(), WAKER_TOKEN, true, false)
+                .expect("register the eventfd");
+            let completions = Completions::new(Waker::eventfd(eventfd));
+
+            // Request 1 completes and wakes the parked reactor.
+            complete(&completions, 1);
+            assert!(
+                would_wake(&ep),
+                "{landing:?}: the first wake was not signalled"
+            );
+
+            // One reactor iteration, with request 2 completing at
+            // `landing`.
+            let land = |at: Landing| {
+                if at == landing {
+                    complete(&completions, 2);
+                }
+            };
+            land(Landing::BeforeRead);
+            completions
+                .waker
+                .consume_with(|| land(Landing::BetweenReadAndRearm));
+            land(Landing::AfterRearm);
+            let mut delivered = req_ids(completions.drain());
+            land(Landing::AfterDrain);
+
+            // Whatever the drain left queued must wake the reactor again…
+            if !completions.queue().is_empty() {
+                assert!(
+                    would_wake(&ep),
+                    "{landing:?}: a completion is queued but the reactor would park"
+                );
+            }
+            // …and so must every completion after it: the waker is
+            // re-armed, not stuck at "already notified".
+            complete(&completions, 3);
+            assert!(
+                would_wake(&ep),
+                "{landing:?}: a later completion would not wake the reactor"
+            );
+
+            // A second iteration picks up the rest: nothing lost, nothing
+            // twice.
+            completions.waker.consume();
+            delivered.extend(req_ids(completions.drain()));
+            delivered.sort_unstable();
+            assert_eq!(delivered, [1, 2, 3], "{landing:?}");
+            assert!(
+                !would_wake(&ep),
+                "{landing:?}: spurious count left after consume"
+            );
+        }
     }
 }

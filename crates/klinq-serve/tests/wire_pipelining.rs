@@ -2,8 +2,9 @@
 //! pipelining with out-of-order completion matched by id (bitwise-equal
 //! to direct classification on both backends and both transports),
 //! client read timeouts, the connection budget's accept backpressure,
-//! idle-connection reaping, wire-level version skew, and a
-//! 256-connection pipelined load on one reactor thread.
+//! idle-connection reaping, wire-level version skew, a
+//! 256-connection pipelined load on one reactor thread, and the
+//! liveness of the epoll transport's completion wake.
 
 use klinq_core::testkit;
 use klinq_core::{Backend, BatchDiscriminator, KlinqSystem};
@@ -333,4 +334,63 @@ fn the_reactor_sustains_256_pipelined_connections() {
     server.shutdown();
     let fleet_stats = fleet.shutdown();
     assert_eq!(fleet_stats.requests, (CONNS * REQS_PER_CONN) as u64);
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn a_never_timing_out_epoll_reactor_answers_every_pipelined_latency_request() {
+    // With no idle timeout the epoll reactor parks with no timeout at
+    // all, so only the completion waker brings answers back: a lost
+    // wakeup is a hang here, caught by the client's read timeout. The
+    // loop keeps 32 one-shot latency requests in flight, one new
+    // request per answer, like a mid-circuit feed-forward controller.
+    const DEPTH: usize = 32;
+    const ROUND_TRIPS: usize = 4096;
+    let sys = system();
+    let shots = sys.test_data().shots().to_vec();
+    let config = ServeConfig::default();
+    let direct =
+        BatchDiscriminator::new(sys.discriminators()).classify_shots_on(config.backend, &shots);
+    let fleet = ShardedReadoutServer::start(vec![system()], config);
+    let server = WireServer::start_with(
+        &fleet,
+        TcpListener::bind("127.0.0.1:0").unwrap(),
+        WireConfig {
+            idle_timeout: None,
+            transport: Transport::Epoll,
+            ..WireConfig::default()
+        },
+    )
+    .expect("start the epoll transport");
+    let mut client = WireClient::connect(server.local_addr(), 0).unwrap();
+    client
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut expected: HashMap<u64, usize> = HashMap::with_capacity(DEPTH);
+    let mut submitted = 0;
+    let mut submit = |client: &mut WireClient, expected: &mut HashMap<u64, usize>| {
+        let s = submitted % shots.len();
+        let id = client
+            .submit_with_priority(Priority::Latency, &shots[s..=s])
+            .expect("submitted");
+        expected.insert(id, s);
+        submitted += 1;
+    };
+    for _ in 0..DEPTH {
+        submit(&mut client, &mut expected);
+    }
+    for answered in 0..ROUND_TRIPS {
+        let (id, result) = client
+            .recv_response()
+            .unwrap_or_else(|e| panic!("answer {answered} of {ROUND_TRIPS} never came: {e:?}"));
+        let s = expected.remove(&id).expect("each id answered exactly once");
+        assert_eq!(result.expect("served"), direct[s..=s], "request {id}");
+        if answered + DEPTH < ROUND_TRIPS {
+            submit(&mut client, &mut expected);
+        }
+    }
+    assert!(expected.is_empty());
+    server.shutdown();
+    let stats = fleet.shutdown();
+    assert_eq!(stats.requests, ROUND_TRIPS as u64);
 }
