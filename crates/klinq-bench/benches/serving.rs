@@ -1,5 +1,5 @@
 //! Serving-path benchmarks: coalesced micro-batch throughput through
-//! `klinq_serve::ReadoutServer`, next to the direct engine figures.
+//! `klinq_serve::ShardedReadoutServer`, next to the direct engine figures.
 //!
 //! The interesting number is the *overhead of serving*: how much of the
 //! direct `batched_inference/testset_parallel` throughput survives once
@@ -13,8 +13,8 @@ use criterion::{criterion_group, Criterion, Throughput};
 use klinq_core::testkit;
 use klinq_core::{Backend, KlinqSystem};
 use klinq_serve::{
-    ReadoutServer, RequestOptions, ServeConfig, ServeError, ShardedReadoutServer, SuperviseConfig,
-    WireClient, WireConfig, WireServer,
+    RequestOptions, ServeConfig, ServeError, ShardedReadoutServer, SuperviseConfig, WireClient,
+    WireConfig, WireServer,
 };
 use klinq_sim::Shot;
 use std::hint::black_box;
@@ -35,15 +35,19 @@ fn system() -> Arc<KlinqSystem> {
 }
 
 /// Drives `clients` concurrent client threads through one request each
-/// covering the whole test set, and waits for every response.
-fn serve_round(server: &ReadoutServer, shots: &[Shot], clients: usize) {
+/// covering the whole test set on device 0, and waits for every response.
+fn serve_round(server: &ShardedReadoutServer, shots: &[Shot], clients: usize) {
     let per_client = shots.len().div_ceil(clients);
     std::thread::scope(|scope| {
         let handles: Vec<_> = shots
             .chunks(per_client)
             .map(|chunk| {
-                let client = server.client();
-                scope.spawn(move || client.classify_shots(chunk.to_vec()).expect("server alive"))
+                let client = server.client(0);
+                scope.spawn(move || {
+                    client
+                        .classify_shots_opts(RequestOptions::new(), chunk.to_vec())
+                        .expect("server alive")
+                })
             })
             .collect();
         for handle in handles {
@@ -68,8 +72,8 @@ fn bench_serving(c: &mut Criterion) {
         ("testset_4_clients_hw", 4, Backend::Hardware),
     ] {
         group.bench_function(name, |b| {
-            let server = ReadoutServer::start(
-                Arc::clone(&system),
+            let server = ShardedReadoutServer::start(
+                vec![Arc::clone(&system)],
                 ServeConfig {
                     backend,
                     // The whole test set closes one batch, so the linger
@@ -106,7 +110,10 @@ fn bench_serving(c: &mut Criterion) {
                     for chunk in shots.chunks(per_client) {
                         let client = fleet.client(device);
                         handles.push(scope.spawn(move || {
-                            client.classify_shots(chunk.to_vec()).expect("fleet alive").len()
+                            client
+                                .classify_shots_opts(RequestOptions::new(), chunk.to_vec())
+                                .expect("fleet alive")
+                                .len()
                         }));
                     }
                 }
@@ -138,7 +145,14 @@ fn bench_serving(c: &mut Criterion) {
         .expect("start wire server");
         let mut client =
             WireClient::connect(server.local_addr(), 0).expect("connect loopback");
-        b.iter(|| black_box(client.classify_shots(&shots).expect("served").len()));
+        b.iter(|| {
+            black_box(
+                client
+                    .classify_shots_opts(RequestOptions::new(), &shots)
+                    .expect("served")
+                    .len(),
+            )
+        });
         drop(client);
         server.shutdown();
         fleet.shutdown();
@@ -210,7 +224,9 @@ fn bench_wire_concurrency(c: &mut Criterion) {
         let round = |clients: &mut [WireClient], latencies: &mut Vec<f64>| {
             let mut submitted = Vec::with_capacity(clients.len());
             for (i, client) in clients.iter_mut().enumerate() {
-                client.submit(slice_of(i)).expect("submitted");
+                client
+                    .submit_to_opts(0, RequestOptions::new(), slice_of(i))
+                    .expect("submitted");
                 submitted.push(Instant::now());
             }
             for (i, client) in clients.iter_mut().enumerate() {
@@ -320,7 +336,7 @@ fn bench_failover(c: &mut Criterion) {
         let mut submitted = Vec::with_capacity(clients.len());
         for (i, client) in clients.iter_mut().enumerate() {
             client
-                .submit_opts(RequestOptions::new().failover(true), slice_of(i))
+                .submit_to_opts(0, RequestOptions::new().failover(true), slice_of(i))
                 .expect("submitted");
             submitted.push(Instant::now());
         }
@@ -334,7 +350,7 @@ fn bench_failover(c: &mut Criterion) {
                     }
                     Err(ServeError::ShardDown) => {
                         client
-                            .submit_opts(RequestOptions::new().failover(true), slice_of(i))
+                            .submit_to_opts(0, RequestOptions::new().failover(true), slice_of(i))
                             .expect("resubmitted");
                     }
                     Err(other) => panic!("unexpected serving error: {other:?}"),

@@ -154,7 +154,8 @@ fn flood_loop(
         }
         while client.in_flight() < FLOOD_WINDOW {
             let start = chaos.below(shots.len() - FLOOD_SLICE);
-            match client.submit_opts(
+            match client.submit_to_opts(
+                0,
                 RequestOptions::new().tenant(tenant),
                 &shots[start..start + FLOOD_SLICE],
             ) {

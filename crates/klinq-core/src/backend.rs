@@ -3,16 +3,11 @@
 //! Every discriminator in this workspace exists twice — as the float
 //! reference implementation (feature pipeline + `f32` student network)
 //! and as the bit-accurate Q16.16 model of the deployed FPGA datapath.
-//! Earlier revisions exposed that duality as parallel `measure`/
-//! `measure_hw`, `evaluate`/`evaluate_hw`, … method pairs; [`Backend`]
-//! collapses the pairs into single generic entry points
+//! [`Backend`] exposes that duality through single generic entry points
 //! ([`crate::KlinqDiscriminator::measure_on`],
 //! [`crate::BatchDiscriminator::classify_shots_on`],
-//! [`crate::KlinqSystem::evaluate_on`]) that take the backend as a value.
-//!
-//! The legacy twins survive as `#[inline]` one-line wrappers, so existing
-//! callers keep compiling, and every wrapper is bitwise-identical to the
-//! generic path it forwards to.
+//! [`crate::KlinqSystem::evaluate_on`]) that take the backend as a value;
+//! there are no per-backend method twins.
 //!
 //! Backend choice is *data*, not code: a serving front end (see the
 //! `klinq-serve` crate) can route each request batch to either datapath

@@ -1,7 +1,7 @@
 //! Batched, data-parallel readout: classify many shots across all five
 //! qubits concurrently, with zero heap allocations on the hot path.
 //!
-//! The per-shot path ([`crate::KlinqSystem::measure`]) exists for mid-circuit
+//! The per-shot path ([`crate::KlinqSystem::measure_on`]) exists for mid-circuit
 //! latency; evaluation and serving workloads instead see *throughput* —
 //! thousands of buffered shots that all need discriminating. This module
 //! chunks a shot batch over the persistent worker pool of the vendored
@@ -19,20 +19,21 @@
 //! buffers — alive across batches), so after warmup a batch classifies
 //! with no allocator traffic at all. Scheduling never changes results:
 //! outputs are written back in shot order and every prediction is
-//! bitwise-identical to sequential [`KlinqDiscriminator::measure`] calls —
+//! bitwise-identical to sequential [`KlinqDiscriminator::measure_on`] calls —
 //! the fused kernels keep each lane's scalar summation order (see
 //! `klinq_dsp::averaging` for the order policy), and the GEMM replays the
 //! exact single-sample order (see `Dense::forward_infer_into`). Ragged
 //! blocks (mixed trace lengths) fall back to the identical scalar path.
 //!
 //! The bit-accurate Q16.16 datapath is batched the same way:
-//! [`BatchDiscriminator::classify_shots_hw`] gathers the same SoA blocks
-//! and runs the fused fixed-point kernel
+//! [`BatchDiscriminator::classify_shots_on`] with [`Backend::Hardware`]
+//! gathers the same SoA blocks and runs the fused fixed-point kernel
 //! ([`klinq_fpga::FpgaDiscriminator::infer_batch_with`]) through
 //! per-worker [`klinq_fpga::HwBatchScratch`] buffers — bitwise-identical
-//! to `measure_hw` because every fixed-point accumulator wraps.
+//! to per-trace `measure_on(Backend::Hardware, ..)` because every
+//! fixed-point accumulator wraps.
 //!
-//! [`crate::KlinqSystem::evaluate`] routes through this engine, and the
+//! [`crate::KlinqSystem::evaluate_on`] routes through this engine, and the
 //! `inference` criterion bench reports its shots/sec as the repo's
 //! serving-throughput trajectory (see `BENCH_inference.json`).
 
@@ -182,38 +183,6 @@ impl<'a> BatchDiscriminator<'a> {
         states
     }
 
-    /// Classifies one shot on the float path.
-    ///
-    /// Compatibility wrapper over [`Self::classify_shot_on`].
-    #[inline]
-    pub fn classify_shot(&self, shot: &Shot) -> ShotStates {
-        self.classify_shot_on(Backend::Float, shot)
-    }
-
-    /// [`Self::classify_shot`] with an explicit scratch.
-    ///
-    /// Compatibility wrapper over [`Self::classify_shot_on_with`].
-    #[inline]
-    pub fn classify_shot_with(&self, shot: &Shot, scratch: &mut ShotScratch) -> ShotStates {
-        self.classify_shot_on_with(Backend::Float, shot, scratch)
-    }
-
-    /// Classifies one shot through the bit-accurate Q16.16 datapath.
-    ///
-    /// Compatibility wrapper over [`Self::classify_shot_on`].
-    #[inline]
-    pub fn classify_shot_hw(&self, shot: &Shot) -> ShotStates {
-        self.classify_shot_on(Backend::Hardware, shot)
-    }
-
-    /// [`Self::classify_shot_hw`] with an explicit scratch.
-    ///
-    /// Compatibility wrapper over [`Self::classify_shot_on_with`].
-    #[inline]
-    pub fn classify_shot_hw_with(&self, shot: &Shot, scratch: &mut ShotScratch) -> ShotStates {
-        self.classify_shot_on_with(Backend::Hardware, shot, scratch)
-    }
-
     /// Classifies one chunk with the fused SoA kernels and a batched
     /// forward pass per qubit: four shots at a time are gathered into the
     /// scratch's lane-interleaved [`TraceBatch`], the fused front end
@@ -333,35 +302,10 @@ impl<'a> BatchDiscriminator<'a> {
         }
     }
 
-    /// Classifies a batch of shots in parallel (float pipeline).
-    ///
-    /// Compatibility wrapper over [`Self::classify_shots_on`].
-    #[inline]
-    pub fn classify_shots(&self, shots: &[Shot]) -> Vec<ShotStates> {
-        self.classify_shots_on(Backend::Float, shots)
-    }
-
-    /// Classifies a batch of shots in parallel through the bit-accurate
-    /// Q16.16 datapath.
-    ///
-    /// Compatibility wrapper over [`Self::classify_shots_on`].
-    #[inline]
-    pub fn classify_shots_hw(&self, shots: &[Shot]) -> Vec<ShotStates> {
-        self.classify_shots_on(Backend::Hardware, shots)
-    }
-
     /// Classifies every shot of a dataset in parallel on the chosen
     /// backend.
     pub fn classify_dataset_on(&self, backend: Backend, data: &ReadoutDataset) -> Vec<ShotStates> {
         self.classify_shots_on(backend, data.shots())
-    }
-
-    /// Classifies every shot of a dataset in parallel (float pipeline).
-    ///
-    /// Compatibility wrapper over [`Self::classify_dataset_on`].
-    #[inline]
-    pub fn classify_dataset(&self, data: &ReadoutDataset) -> Vec<ShotStates> {
-        self.classify_dataset_on(Backend::Float, data)
     }
 
     /// Per-qubit assignment fidelities of a prediction set over a dataset.
@@ -386,21 +330,6 @@ impl<'a> BatchDiscriminator<'a> {
         Self::report_from(&self.classify_dataset_on(backend, data), data)
     }
 
-    /// Float-path batched evaluation.
-    ///
-    /// Compatibility wrapper over [`Self::evaluate_on`].
-    #[inline]
-    pub fn evaluate(&self, data: &ReadoutDataset) -> FidelityReport {
-        self.evaluate_on(Backend::Float, data)
-    }
-
-    /// Batched evaluation through the Q16.16 datapath.
-    ///
-    /// Compatibility wrapper over [`Self::evaluate_on`].
-    #[inline]
-    pub fn evaluate_hw(&self, data: &ReadoutDataset) -> FidelityReport {
-        self.evaluate_on(Backend::Hardware, data)
-    }
 }
 
 #[cfg(test)]
@@ -413,14 +342,14 @@ mod tests {
         let sys = smoke_system();
         let batch = BatchDiscriminator::new(sys.discriminators());
         let shots = sys.test_data().shots();
-        let batched = batch.classify_shots(shots);
+        let batched = batch.classify_shots_on(Backend::Float, shots);
         assert_eq!(batched.len(), shots.len());
         for (shot, states) in shots.iter().zip(&batched) {
             // The GEMM-chunked result, the scratch per-shot path, and the
             // sequential allocating reference must all agree exactly.
-            assert_eq!(*states, batch.classify_shot(shot));
+            assert_eq!(*states, batch.classify_shot_on(Backend::Float, shot));
             for (qb, (state, t)) in states.iter().zip(&shot.traces).enumerate() {
-                let sequential = sys.measure(qb, &t.i, &t.q);
+                let sequential = sys.measure_on(Backend::Float, qb, &t.i, &t.q);
                 assert_eq!(*state, sequential, "qubit {qb} diverged");
             }
         }
@@ -431,12 +360,14 @@ mod tests {
         let sys = smoke_system();
         let batch = BatchDiscriminator::new(sys.discriminators());
         let shots = sys.test_data().shots();
-        let batched = batch.classify_shots_hw(shots);
+        let batched = batch.classify_shots_on(Backend::Hardware, shots);
         assert_eq!(batched.len(), shots.len());
         for (shot, states) in shots.iter().zip(&batched) {
-            assert_eq!(*states, batch.classify_shot_hw(shot));
+            assert_eq!(*states, batch.classify_shot_on(Backend::Hardware, shot));
             for (qb, (state, t)) in states.iter().zip(&shot.traces).enumerate() {
-                let sequential = sys.discriminator(qb).measure_hw(&t.i, &t.q);
+                let sequential = sys
+                    .discriminator(qb)
+                    .measure_on(Backend::Hardware, &t.i, &t.q);
                 assert_eq!(*state, sequential, "qubit {qb} hw diverged");
             }
         }
@@ -446,13 +377,19 @@ mod tests {
     fn chunk_size_never_changes_results() {
         let sys = smoke_system();
         let shots = sys.test_data().shots();
-        let reference = BatchDiscriminator::new(sys.discriminators()).classify_shots(shots);
-        let reference_hw = BatchDiscriminator::new(sys.discriminators()).classify_shots_hw(shots);
+        let reference =
+            BatchDiscriminator::new(sys.discriminators()).classify_shots_on(Backend::Float, shots);
+        let reference_hw = BatchDiscriminator::new(sys.discriminators())
+            .classify_shots_on(Backend::Hardware, shots);
         for chunk_size in [1, 3, 7, 64, shots.len() + 1] {
             let batch = BatchDiscriminator::new(sys.discriminators()).with_chunk_size(chunk_size);
-            assert_eq!(batch.classify_shots(shots), reference, "chunk size {chunk_size} diverged");
             assert_eq!(
-                batch.classify_shots_hw(shots),
+                batch.classify_shots_on(Backend::Float, shots),
+                reference,
+                "chunk size {chunk_size} diverged"
+            );
+            assert_eq!(
+                batch.classify_shots_on(Backend::Hardware, shots),
                 reference_hw,
                 "chunk size {chunk_size} diverged (hw)"
             );
@@ -462,9 +399,9 @@ mod tests {
     #[test]
     fn batched_evaluate_matches_sequential_evaluate() {
         let sys = smoke_system();
-        // `KlinqSystem::evaluate` routes through the batch engine; the
+        // `KlinqSystem::evaluate_on` routes through the batch engine; the
         // sequential reference is `evaluate_at` at the design duration.
-        let batched = sys.evaluate();
+        let batched = sys.evaluate_on(Backend::Float);
         let sequential = sys.evaluate_at(sys.test_data().samples());
         assert_eq!(batched, sequential);
     }
@@ -472,12 +409,18 @@ mod tests {
     #[test]
     fn batched_evaluate_hw_matches_per_qubit_fidelity_hw() {
         let sys = smoke_system();
-        // `KlinqSystem::evaluate_hw` routes through the batch engine; the
+        // `KlinqSystem::evaluate_on` routes through the batch engine; the
         // sequential reference is the per-discriminator hw fidelity.
-        let batched = sys.evaluate_hw();
+        let batched = sys.evaluate_on(Backend::Hardware);
         for qb in 0..5 {
-            let sequential = sys.discriminator(qb).fidelity_hw(sys.test_data());
-            assert_eq!(batched.qubit(qb), sequential, "qubit {qb} hw fidelity diverged");
+            let sequential =
+                sys.discriminator(qb)
+                    .fidelity_on(Backend::Hardware, sys.test_data(), usize::MAX);
+            assert_eq!(
+                batched.qubit(qb),
+                sequential,
+                "qubit {qb} hw fidelity diverged"
+            );
         }
     }
 
@@ -488,41 +431,6 @@ mod tests {
         for backend in Backend::ALL {
             assert!(batch.classify_shots_on(backend, &[]).is_empty());
         }
-        assert!(batch.classify_shots(&[]).is_empty());
-        assert!(batch.classify_shots_hw(&[]).is_empty());
-    }
-
-    #[test]
-    fn generic_backend_paths_match_legacy_wrappers_bitwise() {
-        let sys = smoke_system();
-        let batch = BatchDiscriminator::new(sys.discriminators());
-        let shots = sys.test_data().shots();
-        // Batch level: the generic entry point and the legacy twins must
-        // produce identical vectors on both backends.
-        assert_eq!(batch.classify_shots_on(Backend::Float, shots), batch.classify_shots(shots));
-        assert_eq!(
-            batch.classify_shots_on(Backend::Hardware, shots),
-            batch.classify_shots_hw(shots)
-        );
-        // Shot level, plus the sequential per-discriminator reference.
-        for shot in shots.iter().take(48) {
-            for backend in Backend::ALL {
-                let states = batch.classify_shot_on(backend, shot);
-                for (qb, t) in shot.traces.iter().enumerate() {
-                    assert_eq!(
-                        states[qb],
-                        sys.discriminator(qb).measure_on(backend, &t.i, &t.q),
-                        "qubit {qb} diverged on {backend}"
-                    );
-                }
-            }
-        }
-        // Report level.
-        assert_eq!(batch.evaluate_on(Backend::Float, sys.test_data()), batch.evaluate(sys.test_data()));
-        assert_eq!(
-            batch.evaluate_on(Backend::Hardware, sys.test_data()),
-            batch.evaluate_hw(sys.test_data())
-        );
     }
 
     #[test]
@@ -571,16 +479,16 @@ mod tests {
             let sys = smoke_system();
             let batch = BatchDiscriminator::new(sys.discriminators()).with_chunk_size(chunk);
             let shots = sys.test_data().shots();
-            let chunked = batch.classify_shots(shots);
+            let chunked = batch.classify_shots_on(Backend::Float, shots);
             for (shot, states) in shots.iter().zip(&chunked) {
-                proptest::prop_assert_eq!(*states, batch.classify_shot(shot));
+                proptest::prop_assert_eq!(*states, batch.classify_shot_on(Backend::Float, shot));
             }
             // The Q16.16 path shares the gather logic; spot-check a prefix
             // that still exercises quads and tails.
             let hw_shots = &shots[..67.min(shots.len())];
             let hw = batch.classify_shots_on(Backend::Hardware, hw_shots);
             for (shot, states) in hw_shots.iter().zip(&hw) {
-                proptest::prop_assert_eq!(*states, batch.classify_shot_hw(shot));
+                proptest::prop_assert_eq!(*states, batch.classify_shot_on(Backend::Hardware, shot));
             }
         }
     }

@@ -5,13 +5,21 @@
 //! for mid-circuit latency; a readout *service* instead sees throughput —
 //! many independent clients each holding a few shots, while the batched
 //! engine ([`klinq_core::BatchDiscriminator`]) is fastest when it gets
-//! thousands of shots at once. [`ReadoutServer`] bridges the two: it
-//! accepts single-shot and multi-shot requests over channels from any
-//! number of threads, **coalesces** them into micro-batches (bounded by a
+//! thousands of shots at once. [`ShardedReadoutServer`] — the one server
+//! type — bridges the two: it runs one coalescing collector per device
+//! [`KlinqSystem`](klinq_core::KlinqSystem) (a single device is a
+//! 1-shard fleet), accepts requests over channels from any number of
+//! threads, **coalesces** them into micro-batches (bounded by a
 //! configurable shot budget and linger time), classifies each batch in
 //! one [`classify_shots_on`](klinq_core::BatchDiscriminator::classify_shots_on)
 //! call on the persistent worker pool, and routes each request's
 //! [`ShotStates`] back to its sender.
+//!
+//! Clients submit through one entry point each:
+//! [`ReadoutClient::submit_opts`] (completion callback) or its blocking
+//! form [`ReadoutClient::classify_shots_opts`], with per-request
+//! [`RequestOptions`]; [`ReadoutClient::classify_calibration_shots`]
+//! additionally scores labelled shots against their prepared states.
 //!
 //! Because the batched engine is bitwise-identical to sequential
 //! per-shot measurement for any batch composition, coalescing is
@@ -19,7 +27,7 @@
 //! [`measure_on`](klinq_core::KlinqDiscriminator::measure_on) loop would
 //! have produced, on either [`Backend`].
 //!
-//! Serving at scale adds three layers on the coalescing core:
+//! Serving at scale adds these layers on the coalescing core:
 //!
 //! - **Scheduling policies**: the intake queue is bounded
 //!   ([`ServeConfig::max_pending`]) — a saturated server sheds with
@@ -34,20 +42,20 @@
 //!   micro-batch closing is deadline-aware — requests whose
 //!   [`RequestOptions::deadline`] expires get a typed
 //!   [`ServeError::DeadlineExceeded`] instead of stale states.
-//! - **Multi-device sharding**: [`ShardedReadoutServer`]
-//!   runs one collector per [`KlinqSystem`](klinq_core::KlinqSystem)
-//!   (e.g. one per chip in the fridge), deployable from a single
-//!   multi-device artifact bundle, routing each request to its device's
-//!   collector at intake.
-//! - **Self-healing supervision** ([`supervise`]): collectors run under
-//!   a panic quarantine (a request that panics its micro-batch is
-//!   answered typed [`ServeError::Poisoned`] and never re-batched; the
-//!   rest of the batch replays solo, bitwise-identically), every shard
-//!   carries a `Healthy → Degraded → Down → Restarting` health state
-//!   machine driven by a heartbeat watchdog, a dead shard restarts
-//!   automatically from its retained system (or bundle artifact) with
-//!   monotonic stats, and intake can fail over from a `Down` shard to a
-//!   healthy peer when [`RequestOptions::allow_failover`] permits.
+//! - **Multi-device sharding**: one shard per device (e.g. one per chip
+//!   in the fridge), deployable from a single multi-device artifact
+//!   bundle ([`ShardedReadoutServer::load_bundle`]), routing each
+//!   request to its device's collector at intake.
+//! - **Self-healing supervision** ([`supervise`]): every shard's
+//!   collector runs under a panic quarantine (a request that panics its
+//!   micro-batch is answered typed [`ServeError::Poisoned`] and never
+//!   re-batched; the rest of the batch replays solo,
+//!   bitwise-identically), every shard carries a
+//!   `Healthy → Degraded → Down → Restarting` health state machine
+//!   driven by a heartbeat watchdog, a dead shard restarts automatically
+//!   from its retained system (or bundle artifact) with monotonic stats,
+//!   and intake can fail over from a `Down` shard to a healthy peer when
+//!   [`RequestOptions::allow_failover`] permits.
 //! - **A wire protocol** ([`wire`]): a length-prefixed binary codec over
 //!   plain TCP ([`WireServer`]/[`WireClient`], std threads only) so
 //!   out-of-process clients reach the very same coalescing path,
@@ -63,14 +71,16 @@
 //! ```no_run
 //! use klinq_core::experiments::ExperimentConfig;
 //! use klinq_core::KlinqSystem;
-//! use klinq_serve::{ReadoutServer, ServeConfig};
+//! use klinq_serve::{RequestOptions, ServeConfig, ShardedReadoutServer};
 //! use std::sync::Arc;
 //!
 //! let system = Arc::new(KlinqSystem::train(&ExperimentConfig::smoke())?);
 //! let shots = system.test_data().shots().to_vec();
-//! let server = ReadoutServer::start(system, ServeConfig::default());
-//! let client = server.client();
-//! let states = client.classify_shots(shots).expect("server alive");
+//! let server = ShardedReadoutServer::start(vec![system], ServeConfig::default());
+//! let client = server.client(0);
+//! let states = client
+//!     .classify_shots_opts(RequestOptions::new(), shots)
+//!     .expect("server alive");
 //! println!("first shot: {:?}", states[0]);
 //! server.shutdown();
 //! # Ok::<(), klinq_core::KlinqError>(())
@@ -87,9 +97,7 @@ pub mod wire;
 
 pub use chaos::CrashFaults;
 pub use sched::{RequestOptions, SchedPolicy, TenantId, TenantSpec, TenantStats};
-pub use server::{
-    Priority, ReadoutClient, ReadoutServer, ServeConfig, ServeError, ServeStats, NUM_QUBITS,
-};
+pub use server::{Priority, ReadoutClient, ServeConfig, ServeError, ServeStats, NUM_QUBITS};
 pub use shard::ShardedReadoutServer;
 pub use supervise::{ShardHealth, ShardHealthReport, SuperviseConfig};
 pub use wire::{

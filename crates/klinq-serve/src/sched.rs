@@ -53,7 +53,7 @@
 //!
 //! ```no_run
 //! use klinq_serve::{
-//!     ReadoutServer, RequestOptions, SchedPolicy, ServeConfig, TenantId, TenantSpec,
+//!     RequestOptions, SchedPolicy, ServeConfig, ShardedReadoutServer, TenantId, TenantSpec,
 //! };
 //! use std::sync::Arc;
 //! use std::time::Duration;
@@ -66,8 +66,8 @@
 //!     ]),
 //!     ..ServeConfig::default()
 //! };
-//! let server = ReadoutServer::start(system(), config);
-//! let client = server.client();
+//! let server = ShardedReadoutServer::start(vec![system()], config);
+//! let client = server.client(0);
 //! let opts = RequestOptions::new()
 //!     .tenant(TenantId(1))
 //!     .deadline(Duration::from_millis(5));
@@ -175,8 +175,7 @@ impl Default for SchedPolicy {
 /// Per-request submission options: scheduling lane, tenant, deadline.
 ///
 /// `Default` is a [`Priority::Throughput`] request on the default
-/// tenant with no deadline — exactly what the plain `classify_shots`
-/// entry points submit.
+/// tenant with no deadline, without failover.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RequestOptions {
     /// Scheduling lane (see [`Priority`]).

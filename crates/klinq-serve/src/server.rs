@@ -1,10 +1,12 @@
-//! The coalescing server: std threads + channels, no async runtime.
+//! The coalescing shard: std threads + channels, no async runtime.
 //!
-//! One collector thread owns the [`KlinqSystem`] and a receiver. Clients
-//! are cheap cloneable sender handles; each request carries its shots and
-//! a private reply channel. The collector opens a micro-batch on the
-//! first request it receives, then keeps admitting requests until either
-//! the batch's shot budget ([`ServeConfig::max_batch_shots`]) is reached
+//! Each device shard of a
+//! [`ShardedReadoutServer`](crate::ShardedReadoutServer) runs one
+//! collector thread that owns the [`KlinqSystem`] and a receiver.
+//! Clients are cheap cloneable sender handles; each request carries its
+//! shots and a private reply channel. The collector opens a micro-batch
+//! on the first request it receives, then keeps admitting requests until
+//! either the batch's shot budget ([`ServeConfig::max_batch_shots`]) is reached
 //! or the linger window ([`ServeConfig::max_linger`]) expires, classifies
 //! the whole batch in one call, and scatters the per-request slices back.
 //! An idle server blocks on `recv` and costs nothing.
@@ -56,7 +58,8 @@ pub enum Priority {
     Latency,
 }
 
-/// Tuning knobs for a [`ReadoutServer`].
+/// Tuning knobs for a [`ShardedReadoutServer`](crate::ShardedReadoutServer)
+/// (every shard runs the same configuration).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeConfig {
     /// Which datapath serves the requests.
@@ -327,7 +330,9 @@ pub struct ServeStats {
     pub expedited_batches: u64,
     /// Requests answered with [`ServeError::DeadlineExceeded`] because
     /// their deadline expired before classification completed (summed
-    /// over all tenants; [`ReadoutServer::tenant_stats`] splits it).
+    /// over all tenants;
+    /// [`ShardedReadoutServer::tenant_stats`](crate::ShardedReadoutServer::tenant_stats)
+    /// splits it).
     pub deadline_misses: u64,
     /// TCP connections a wire front end accepted over its lifetime
     /// (0 for a purely in-process server).
@@ -376,8 +381,8 @@ pub struct ServeStats {
     /// Per-qubit count of calibration shots prepared excited but read
     /// ground (the `P(0|1)` confusion numerator).
     pub calib_false_ground: [u64; NUM_QUBITS],
-    /// Shards in this view (1 for a single server; summed in a fleet
-    /// merge, so the `shards_*` gauges below read as "out of N").
+    /// Shards in this view (1 per shard; summed in a fleet merge, so
+    /// the `shards_*` gauges below read as "out of N").
     pub shards: u64,
     /// Shards currently [`ShardHealth::Healthy`].
     pub shards_healthy: u64,
@@ -451,7 +456,7 @@ impl ServeStats {
     /// Fraction of canary shots where the candidate disagreed with the
     /// primary on at least one qubit (`None` until the canary served).
     /// The number an operator checks before
-    /// [`ReadoutServer::promote_canary`].
+    /// [`ShardedReadoutServer::promote_canary`](crate::ShardedReadoutServer::promote_canary).
     pub fn canary_divergence(&self) -> Option<f64> {
         (self.canary_shots > 0)
             .then(|| self.canary_divergent_shots as f64 / self.canary_shots as f64)
@@ -625,7 +630,7 @@ enum Msg {
     Request(Request),
     Control(Control),
     /// Finish the batch in flight, then exit. Sent by
-    /// [`ReadoutServer::shutdown`] so teardown never depends on every
+    /// [`Shard::shutdown`] so teardown never depends on every
     /// cloned [`ReadoutClient`] having been dropped.
     Shutdown,
 }
@@ -705,25 +710,28 @@ impl Router {
     }
 }
 
-/// A cheap cloneable handle for submitting classification requests.
+/// A cheap cloneable handle for submitting classification requests to
+/// one device shard of a [`ShardedReadoutServer`](crate::ShardedReadoutServer)
+/// (from its `client(device)`).
 ///
-/// Handles stay usable after the [`ReadoutServer`] value is shut down
-/// only in the sense that calls fail fast with [`ServeError::Closed`].
+/// Handles stay usable after the fleet is shut down only in the sense
+/// that calls fail fast with [`ServeError::Closed`].
 #[derive(Debug, Clone)]
 pub struct ReadoutClient {
     link: Arc<ShardLink>,
-    /// Set for fleet-issued handles ([`crate::ShardedReadoutServer`]):
-    /// enables health-aware failover to peer shards.
-    router: Option<Arc<Router>>,
-    /// This handle's device index within the router (0 for standalone
-    /// servers).
+    /// The fleet's routing table: health-aware failover to peer shards.
+    router: Arc<Router>,
+    /// This handle's device index within the router.
     device: usize,
 }
 
 impl ReadoutClient {
-    /// Classifies a batch of shots at [`Priority::Throughput`], blocking
-    /// until the coalesced result arrives. Response index `i` is always
-    /// shot `i`'s states.
+    /// Classifies a batch of shots under per-request [`RequestOptions`]
+    /// (scheduling lane, tenant, optional relative deadline, failover
+    /// opt-in), blocking until the coalesced result arrives. Response
+    /// index `i` is always shot `i`'s states; `Priority::Latency`
+    /// requests close their micro-batch immediately instead of waiting
+    /// out the linger window.
     ///
     /// An empty request completes immediately without a server round
     /// trip.
@@ -732,41 +740,16 @@ impl ReadoutClient {
     ///
     /// Returns [`ServeError::Closed`] if the server shut down before
     /// answering, [`ServeError::Overloaded`] if the intake queue was
-    /// full (the request was shed, not queued), or
-    /// [`ServeError::InvalidRequest`] if the shots cannot be classified
-    /// by the serving system (the request is rejected at intake; the
-    /// server keeps running).
-    pub fn classify_shots(&self, shots: Vec<Shot>) -> Result<Vec<ShotStates>, ServeError> {
-        self.classify_shots_with_priority(Priority::Throughput, shots)
-    }
-
-    /// Like [`Self::classify_shots`], with an explicit [`Priority`]:
-    /// `Latency` requests close their micro-batch immediately instead of
-    /// waiting out the linger window.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Self::classify_shots`].
-    pub fn classify_shots_with_priority(
-        &self,
-        priority: Priority,
-        shots: Vec<Shot>,
-    ) -> Result<Vec<ShotStates>, ServeError> {
-        self.classify_blocking(RequestOptions::new().priority(priority), false, shots)
-    }
-
-    /// Like [`Self::classify_shots`], with full per-request
-    /// [`RequestOptions`]: scheduling lane, tenant, and an optional
-    /// relative deadline.
-    ///
-    /// # Errors
-    ///
-    /// The [`Self::classify_shots`] contract, plus
+    /// full (the request was shed, not queued; a tenant-quota shed
+    /// carries a retry-after hint), [`ServeError::InvalidRequest`] if
+    /// the shots cannot be classified by the serving system (the request
+    /// is rejected at intake; the server keeps running),
     /// [`ServeError::UnknownTenant`] when the options name a tenant
     /// outside the server's table (rejected synchronously, nothing is
-    /// queued) and [`ServeError::DeadlineExceeded`] when the deadline
-    /// expires before classification completes. A quota shed arrives as
-    /// [`ServeError::Overloaded`] with a retry-after hint.
+    /// queued), [`ServeError::DeadlineExceeded`] when the deadline
+    /// expires before classification completes, and
+    /// [`ServeError::ShardDown`] when the shard is down and the request
+    /// may not (or cannot) fail over.
     pub fn classify_shots_opts(
         &self,
         opts: RequestOptions,
@@ -776,17 +759,18 @@ impl ReadoutClient {
     }
 
     /// Classifies calibration shots: the result is served exactly like
-    /// [`Self::classify_shots`], but each shot's `prepared` states are
-    /// additionally treated as ground truth and scored against the served
-    /// states, feeding the per-qubit running fidelity/confusion estimates
-    /// in [`ServeStats`] (`calib_*` fields, [`ServeStats::confusion`],
+    /// [`Self::classify_shots_opts`] with default options, but each
+    /// shot's `prepared` states are additionally treated as ground truth
+    /// and scored against the served states, feeding the per-qubit
+    /// running fidelity/confusion estimates in [`ServeStats`] (`calib_*`
+    /// fields, [`ServeStats::confusion`],
     /// [`ServeStats::calibration_fidelity`]). Interleaving a trickle of
     /// calibration shots with production traffic is how an operator
     /// detects drift and validates a candidate model.
     ///
     /// # Errors
     ///
-    /// Same contract as [`Self::classify_shots`].
+    /// Same contract as [`Self::classify_shots_opts`].
     pub fn classify_calibration_shots(
         &self,
         shots: Vec<Shot>,
@@ -821,41 +805,25 @@ impl ReadoutClient {
         Ok(states)
     }
 
-    /// Submits shots without blocking for the result: `on_complete` runs
-    /// exactly once with the coalesced result (on the collector thread)
-    /// once the request's micro-batch executes. This is the submission
-    /// path the wire reactor uses — one event loop, thousands of
-    /// requests in flight, no parked thread per request.
+    /// Submits shots under per-request [`RequestOptions`] without
+    /// blocking for the result: `on_complete` runs exactly once with the
+    /// coalesced result (on the collector thread) once the request's
+    /// micro-batch executes. This is the submission path the wire
+    /// reactor uses — one event loop, thousands of requests in flight,
+    /// no parked thread per request.
     ///
     /// An empty request completes immediately: `on_complete` runs with
     /// `Ok(vec![])` before this returns.
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::Overloaded`] (request shed, queue full) or
-    /// [`ServeError::Closed`] (server gone) **without** running
+    /// Returns [`ServeError::Overloaded`] (request shed, queue full),
+    /// [`ServeError::Closed`] (server gone), [`ServeError::ShardDown`]
+    /// (shard down, no failover) or [`ServeError::UnknownTenant`]
+    /// (tenant outside the server's table) **without** running
     /// `on_complete` — a rejected submission has no completion. Requests
     /// that fail later (e.g. [`ServeError::InvalidRequest`] at intake
     /// validation) deliver their error through `on_complete` instead.
-    pub fn submit_with_priority(
-        &self,
-        priority: Priority,
-        shots: Vec<Shot>,
-        on_complete: impl FnOnce(Result<Vec<ShotStates>, ServeError>) + Send + 'static,
-    ) -> Result<(), ServeError> {
-        self.submit(RequestOptions::new().priority(priority), false, shots, on_complete)
-    }
-
-    /// Like [`Self::submit_with_priority`], with full per-request
-    /// [`RequestOptions`]. This is the submission path the wire reactor
-    /// uses to thread tenant identity and deadlines through.
-    ///
-    /// # Errors
-    ///
-    /// The [`Self::submit_with_priority`] contract, plus
-    /// [`ServeError::UnknownTenant`] — returned synchronously, without
-    /// running `on_complete` — when the options name a tenant outside
-    /// the server's table.
     pub fn submit_opts(
         &self,
         opts: RequestOptions,
@@ -947,7 +915,7 @@ impl ReadoutClient {
             return Ok(Arc::clone(&self.link));
         }
         if opts.allow_failover {
-            if let Some(peer) = self.router.as_ref().and_then(|r| r.healthy_peer(self.device)) {
+            if let Some(peer) = self.router.healthy_peer(self.device) {
                 // Billed to the shard the request was bound to — the
                 // failover count is the down shard's story.
                 monitor.note_failover();
@@ -966,38 +934,27 @@ impl ReadoutClient {
     pub(crate) fn health_report(&self) -> crate::supervise::ShardHealthReport {
         self.link.monitor().report()
     }
-
-    /// Classifies one shot, blocking until its coalesced result arrives.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Self::classify_shots`].
-    pub fn classify_shot(&self, shot: Shot) -> Result<ShotStates, ServeError> {
-        let states = self.classify_shots(vec![shot])?;
-        // `classify_shots` already rejected length mismatches, so the
-        // indexing below cannot panic.
-        Ok(states[0])
-    }
 }
 
-/// A running micro-batching readout server.
+/// One device shard: a collector thread serving one [`KlinqSystem`]
+/// through the coalescing loop. Crate-private — the fleet
+/// ([`crate::ShardedReadoutServer`]) owns every shard and documents the
+/// public control surface; its watchdog respawns dead collectors here.
 ///
-/// Dropping the server (or calling [`Self::shutdown`]) closes the intake
+/// Dropping a shard (or calling [`Self::shutdown`]) closes the intake
 /// channel, lets the collector finish the batch in flight, and joins it.
 #[derive(Debug)]
-pub struct ReadoutServer {
+pub(crate) struct Shard {
     link: Arc<ShardLink>,
     collector: Option<JoinHandle<()>>,
     counters: Arc<Counters>,
-    /// The tenant table the server runs under, kept for
-    /// [`Self::tenant_stats`] snapshots.
-    sched: SchedPolicy,
-    /// Kept for collector respawns (shard restart) — a restarted
-    /// collector runs the exact configuration the shard started with.
+    /// Kept for collector respawns (shard restart) and tenant-stats
+    /// snapshots — a restarted collector runs the exact configuration
+    /// the shard started with.
     config: ServeConfig,
 }
 
-impl ReadoutServer {
+impl Shard {
     fn assert_config(config: &ServeConfig) {
         assert!(config.max_batch_shots > 0, "max_batch_shots must be non-zero");
         assert!(
@@ -1007,16 +964,10 @@ impl ReadoutServer {
         assert!(config.chunk_size != Some(0), "chunk size override must be non-zero");
     }
 
-    /// Starts the server: spawns the collector thread that owns `system`
-    /// and serves requests per `config`.
-    ///
-    /// # Panics
-    ///
-    /// Panics immediately (not later on the collector thread) if the
-    /// configuration is unusable: a zero `max_batch_shots`, a zero
-    /// `max_pending`, a zero `chunk_size` override, or an unusable
-    /// scheduling policy (no tenants, a zero weight, quantum or quota).
-    pub fn start(system: Arc<KlinqSystem>, config: ServeConfig) -> Self {
+    /// Spawns the collector that owns `system` and serves requests per
+    /// `config`. Panics on an unusable configuration (see
+    /// [`crate::ShardedReadoutServer::start`]).
+    pub(crate) fn start(system: Arc<KlinqSystem>, config: ServeConfig) -> Self {
         Self::assert_config(&config);
         // Built here — not on the collector thread — so an unusable
         // policy panics the caller immediately.
@@ -1030,7 +981,6 @@ impl ReadoutServer {
             link: Arc::new(ShardLink::new(tx, Arc::clone(&counters))),
             collector: Some(collector),
             counters,
-            sched: config.sched.clone(),
             config,
         }
     }
@@ -1052,7 +1002,6 @@ impl ReadoutServer {
             link: Arc::new(ShardLink::new(tx, Arc::clone(&counters))),
             collector: None,
             counters,
-            sched: config.sched.clone(),
             config,
         }
     }
@@ -1098,35 +1047,19 @@ impl ReadoutServer {
         Arc::clone(&self.link)
     }
 
-    /// This server's health state (standalone servers have no watchdog,
-    /// so only `Healthy`/`Degraded` arise here; fleet shards see the
-    /// full machine).
-    pub fn health(&self) -> ShardHealth {
-        self.counters.monitor.health()
-    }
-
-    /// A new client handle for this server.
-    pub fn client(&self) -> ReadoutClient {
+    /// A client handle bound to this shard (`device` within `router`),
+    /// failing over through `router` when the shard is down.
+    pub(crate) fn client(&self, router: Arc<Router>, device: usize) -> ReadoutClient {
         ReadoutClient {
             link: Arc::clone(&self.link),
-            router: None,
-            device: 0,
-        }
-    }
-
-    /// A fleet client handle: bound to this shard, but able to fail
-    /// over through `router` when the shard is down.
-    pub(crate) fn client_with_router(&self, router: Arc<Router>, device: usize) -> ReadoutClient {
-        ReadoutClient {
-            link: Arc::clone(&self.link),
-            router: Some(router),
+            router,
             device,
         }
     }
 
     /// A snapshot of the coalescing counters (the `wire_*` fields stay
     /// zero here — they belong to a wire front end's own stats).
-    pub fn stats(&self) -> ServeStats {
+    pub(crate) fn stats(&self) -> ServeStats {
         let monitor = &self.counters.monitor;
         let health = monitor.health();
         ServeStats {
@@ -1167,11 +1100,10 @@ impl ReadoutServer {
         }
     }
 
-    /// Per-tenant serving counters, in tenant-table order: throughput,
-    /// sheds, deadline misses, and queue-depth gauges for each tenant
-    /// declared in [`SchedPolicy::tenants`].
-    pub fn tenant_stats(&self) -> Vec<TenantStats> {
-        self.sched
+    /// Per-tenant serving counters, in tenant-table order.
+    pub(crate) fn tenant_stats(&self) -> Vec<TenantStats> {
+        self.config
+            .sched
             .tenants
             .iter()
             .zip(&self.counters.tenants)
@@ -1192,54 +1124,19 @@ impl ReadoutServer {
             .collect()
     }
 
-    /// The model version serving right now (starts at 1, bumps on every
-    /// swap or promotion).
-    pub fn model_version(&self) -> u64 {
+    pub(crate) fn model_version(&self) -> u64 {
         self.counters.model_version.load(Ordering::Relaxed)
     }
 
-    /// Blue/green hot swap: atomically replaces the serving
-    /// [`KlinqSystem`] between micro-batches and returns the new model
-    /// version. The command queues behind traffic already admitted
-    /// (channel FIFO): every request submitted before this call returns
-    /// is answered by the old model, every request submitted after it
-    /// completes by the new one, and no micro-batch ever mixes the two.
-    /// An open batch lingering when the command arrives is closed on the
-    /// old model first.
-    ///
-    /// A staged canary survives the swap untouched — swapping the
-    /// primary under a canary is an explicit operator move, not an
-    /// implicit abort.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::Closed`] if the server already shut down,
-    /// or [`ServeError::InvalidRequest`] if `system` does not read the
-    /// same number of qubits as the serving system.
-    pub fn swap_model(&self, system: Arc<KlinqSystem>) -> Result<u64, ServeError> {
+    /// Queues a [`Control::Swap`] and waits for its ack.
+    pub(crate) fn swap_model(&self, system: Arc<KlinqSystem>) -> Result<u64, ServeError> {
         let (ack, ack_rx) = mpsc::channel();
         self.send_control(Control::Swap { system, ack })?;
         ack_rx.recv().map_err(|_| ServeError::Closed)?
     }
 
-    /// Stages `system` as the canary candidate: from now on, `fraction`
-    /// of micro-batches (by count, spread evenly via a fractional
-    /// accumulator) are answered by the candidate, and each canary batch
-    /// is also classified by the primary to feed the divergence report
-    /// ([`ServeStats::canary_divergence`], `canary_*` fields). Batches
-    /// whose shots are too short for the candidate's feature floors stay
-    /// on the primary rather than panicking the candidate.
-    ///
-    /// Staging again replaces the previous candidate; the divergence
-    /// counters keep accumulating (snapshot [`Self::stats`] before
-    /// staging to scope a report to one candidate).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::Closed`] if the server already shut down,
-    /// or [`ServeError::InvalidRequest`] for a qubit-count mismatch or a
-    /// `fraction` outside `0.0..=1.0`.
-    pub fn stage_canary(
+    /// Queues a [`Control::StageCanary`] and waits for its ack.
+    pub(crate) fn stage_canary(
         &self,
         system: Arc<KlinqSystem>,
         fraction: f64,
@@ -1258,26 +1155,15 @@ impl ReadoutServer {
         ack_rx.recv().map_err(|_| ServeError::Closed)?
     }
 
-    /// Promotes the staged canary to primary (a hot swap with the same
-    /// between-batches atomicity as [`Self::swap_model`]) and returns
-    /// the new model version. The canary lane is empty afterwards.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::Closed`] if the server already shut down,
-    /// or [`ServeError::InvalidRequest`] if no canary is staged.
-    pub fn promote_canary(&self) -> Result<u64, ServeError> {
+    /// Queues a [`Control::PromoteCanary`] and waits for its ack.
+    pub(crate) fn promote_canary(&self) -> Result<u64, ServeError> {
         let (ack, ack_rx) = mpsc::channel();
         self.send_control(Control::PromoteCanary { ack })?;
         ack_rx.recv().map_err(|_| ServeError::Closed)?
     }
 
-    /// Drops the staged canary, if any; returns whether one was staged.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::Closed`] if the server already shut down.
-    pub fn abort_canary(&self) -> Result<bool, ServeError> {
+    /// Queues a [`Control::AbortCanary`] and waits for its ack.
+    pub(crate) fn abort_canary(&self) -> Result<bool, ServeError> {
         let (ack, ack_rx) = mpsc::channel();
         self.send_control(Control::AbortCanary { ack })?;
         ack_rx.recv().map_err(|_| ServeError::Closed)
@@ -1307,7 +1193,7 @@ impl ReadoutServer {
 
     /// Stops intake, drains the in-flight batch, joins the collector and
     /// returns the final counters.
-    pub fn shutdown(mut self) -> ServeStats {
+    pub(crate) fn shutdown(mut self) -> ServeStats {
         self.close();
         self.stats()
     }
@@ -1341,14 +1227,14 @@ impl ReadoutServer {
     }
 }
 
-impl Drop for ReadoutServer {
+impl Drop for Shard {
     fn drop(&mut self) {
         self.close();
     }
 }
 
-/// Spawns one collector thread. Shared by [`ReadoutServer::start`] and
-/// [`ReadoutServer::respawn`] — a restarted collector is byte-for-byte
+/// Spawns one collector thread. Shared by [`Shard::start`] and
+/// [`Shard::respawn`] — a restarted collector is byte-for-byte
 /// the same loop on the same shared counters.
 fn spawn_collector(
     system: Arc<KlinqSystem>,

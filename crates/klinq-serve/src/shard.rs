@@ -1,15 +1,15 @@
-//! Multi-device sharding: several [`KlinqSystem`]s behind one intake.
+//! The server: one or more [`KlinqSystem`]s behind one intake.
 //!
-//! One readout service rarely fronts one device: a dilution fridge hosts
-//! several 5-qubit chips, each with its own trained discriminator fleet.
-//! [`ShardedReadoutServer`] owns one coalescing collector per device
-//! (each an ordinary [`ReadoutServer`], so every per-server guarantee —
-//! bitwise-identical coalescing, backpressure, priority lanes — holds
-//! per shard) and routes each request to its device's collector **at
-//! intake**: [`ShardedReadoutServer::client`] hands out a plain
-//! [`ReadoutClient`] bound to the chosen device, so the request path
-//! after routing is exactly the single-server path and sharding adds
-//! zero per-request overhead.
+//! [`ShardedReadoutServer`] is the only server type. It owns one
+//! coalescing collector per device — a single-device service is a
+//! 1-shard fleet (`ShardedReadoutServer::start(vec![system], config)`
+//! and `client(0)`), while a dilution fridge hosting several 5-qubit
+//! chips runs one shard per chip. Every coalescing guarantee —
+//! bitwise-identical batching, backpressure, priority lanes — holds per
+//! shard, and each request is routed to its device's collector **at
+//! intake**: [`ShardedReadoutServer::client`] hands out a
+//! [`ReadoutClient`] bound to the chosen device, so sharding adds zero
+//! per-request overhead.
 //!
 //! # Self-healing supervision
 //!
@@ -41,27 +41,28 @@
 //! artifact — replacing the file on disk heals the shard without a
 //! fleet restart.
 
-use crate::server::{ReadoutClient, ReadoutServer, Router, ServeConfig, ServeError, ServeStats};
+use crate::server::{ReadoutClient, Router, ServeConfig, ServeError, ServeStats, Shard};
 use crate::supervise::{RestartSource, ShardHealth, ShardHealthReport, Supervisor};
 use klinq_core::{persist, KlinqError, KlinqSystem};
 use std::path::Path;
 use std::sync::{Arc, Mutex, MutexGuard};
 
-/// A fleet of per-device coalescing servers behind one handle, under a
-/// supervision watchdog.
+/// A running micro-batching readout server: one coalescing shard per
+/// device behind one handle, under a supervision watchdog.
 ///
-/// Shutting the fleet down (explicitly or by drop) stops the watchdog
-/// first — no restart races teardown — then shuts every shard down; a
-/// *genuine* panic on any shard's collector (one the watchdog had not
-/// already recovered) is re-raised on the owner, exactly like a single
-/// [`ReadoutServer`].
+/// Shutting the server down (explicitly or by drop) stops the watchdog
+/// first — no restart races teardown — then shuts every shard down,
+/// letting each collector finish its batch in flight.
+/// [`Self::shutdown`] re-raises a *genuine* panic on any shard's
+/// collector (one the watchdog had not already recovered) on the
+/// owner.
 #[derive(Debug)]
 pub struct ShardedReadoutServer {
     /// Shared with the watchdog thread, which needs `&mut` access to a
     /// shard to respawn its collector — hence the per-slot `Mutex`.
     /// Request traffic does not touch these locks: clients talk to the
     /// shard's [`ShardLink`](crate::server) directly.
-    shards: Arc<Vec<Mutex<ReadoutServer>>>,
+    shards: Arc<Vec<Mutex<Shard>>>,
     /// Health-aware failover routing table, shared by every client
     /// handle this fleet hands out.
     router: Arc<Router>,
@@ -78,19 +79,23 @@ pub struct ShardedReadoutServer {
 impl ShardedReadoutServer {
     /// Starts one collector per system; `systems[i]` serves device `i`.
     /// Every shard runs the same `config` (backend, batching, intake
-    /// bound, supervision).
+    /// bound, supervision). A single-device server is
+    /// `start(vec![system], config)`.
     ///
     /// # Panics
     ///
-    /// Panics if `systems` is empty or the configuration is unusable
-    /// (same contract as [`ReadoutServer::start`]).
+    /// Panics immediately (not later on a collector thread) if `systems`
+    /// is empty or the configuration is unusable: a zero
+    /// `max_batch_shots`, a zero `max_pending`, a zero `chunk_size`
+    /// override, or an unusable scheduling policy (no tenants, a zero
+    /// weight, quantum or quota).
     pub fn start(systems: Vec<Arc<KlinqSystem>>, config: ServeConfig) -> Self {
         assert!(!systems.is_empty(), "a sharded server needs at least one device");
         let mut shards = Vec::with_capacity(systems.len());
         let mut sources = Vec::with_capacity(systems.len());
         for system in systems {
             sources.push(RestartSource::from_system(Arc::clone(&system)));
-            shards.push(ReadoutServer::start(system, config.clone()));
+            shards.push(Shard::start(system, config.clone()));
         }
         Self::assemble(shards, sources, &config)
     }
@@ -131,24 +136,20 @@ impl ShardedReadoutServer {
                         device,
                         Some(Arc::clone(&system)),
                     ));
-                    shards.push(ReadoutServer::start(system, config.clone()));
+                    shards.push(Shard::start(system, config.clone()));
                 }
                 Err(_) => {
                     sources.push(RestartSource::from_bundle(path.to_path_buf(), device, None));
-                    shards.push(ReadoutServer::vacant(config.clone()));
+                    shards.push(Shard::vacant(config.clone()));
                 }
             }
         }
         Ok(Self::assemble(shards, sources, &config))
     }
 
-    fn assemble(
-        shards: Vec<ReadoutServer>,
-        sources: Vec<RestartSource>,
-        config: &ServeConfig,
-    ) -> Self {
+    fn assemble(shards: Vec<Shard>, sources: Vec<RestartSource>, config: &ServeConfig) -> Self {
         let staged = shards.iter().map(|_| Mutex::new(None)).collect();
-        let router = Arc::new(Router::new(shards.iter().map(ReadoutServer::link).collect()));
+        let router = Arc::new(Router::new(shards.iter().map(Shard::link).collect()));
         let shards = Arc::new(shards.into_iter().map(Mutex::new).collect::<Vec<_>>());
         let sources = Arc::new(sources);
         let supervisor =
@@ -168,9 +169,7 @@ impl ShardedReadoutServer {
     }
 
     /// A client handle bound to `device`'s shard — the routing decision.
-    /// The returned handle is an ordinary [`ReadoutClient`]; everything
-    /// downstream of intake is the single-server path, except that a
-    /// request submitted while the shard is `Down` fails over to a
+    /// A request submitted while the shard is `Down` fails over to a
     /// healthy peer when
     /// [`RequestOptions::failover`](crate::sched::RequestOptions::failover)
     /// permits it (and answers [`ServeError::ShardDown`] otherwise).
@@ -182,16 +181,18 @@ impl ShardedReadoutServer {
     /// condition (the wire front end validates device ids from
     /// untrusted requests before calling this).
     pub fn client(&self, device: usize) -> ReadoutClient {
-        self.shard(device).client_with_router(Arc::clone(&self.router), device)
+        self.shard(device).client(Arc::clone(&self.router), device)
     }
 
-    /// One shard's current health state.
+    /// One shard's current health state: `Healthy`, `Degraded` (a
+    /// recently caught batch panic), `Down` or `Restarting` (see
+    /// [`crate::supervise`]).
     ///
     /// # Panics
     ///
     /// Panics if `device >= self.devices()`.
     pub fn health(&self, device: usize) -> ShardHealth {
-        self.shard(device).health()
+        self.shard(device).monitor().health()
     }
 
     /// Per-shard health, restart and down counts, in device order —
@@ -226,11 +227,20 @@ impl ShardedReadoutServer {
 
     /// Blue/green hot swap on one shard: atomically replaces `device`'s
     /// serving [`KlinqSystem`] between micro-batches and returns the
-    /// shard's new model version. Other shards are untouched — a fleet
-    /// rolls a new model device by device, watching each shard's canary
-    /// report before moving on. Same guarantees as
-    /// [`ReadoutServer::swap_model`]; the shard's restart source tracks
-    /// the swap, so a later crash restarts the *new* model.
+    /// shard's new model version (versions start at 1 and bump on every
+    /// swap or canary promotion). The command queues behind traffic
+    /// already admitted (channel FIFO): every request submitted before
+    /// this call returns is answered by the old model, every request
+    /// submitted after it completes by the new one, and no micro-batch
+    /// ever mixes the two. An open batch lingering when the command
+    /// arrives is closed on the old model first.
+    ///
+    /// Other shards are untouched — a fleet rolls a new model device by
+    /// device, watching each shard's canary report before moving on. A
+    /// staged canary survives the swap untouched (swapping the primary
+    /// under a canary is an explicit operator move, not an implicit
+    /// abort). The shard's restart source tracks the swap, so a later
+    /// crash restarts the *new* model.
     ///
     /// # Panics
     ///
@@ -239,7 +249,10 @@ impl ShardedReadoutServer {
     ///
     /// # Errors
     ///
-    /// Same contract as [`ReadoutServer::swap_model`].
+    /// Returns [`ServeError::Closed`] if the server already shut down,
+    /// [`ServeError::ShardDown`] if the shard's collector is dead, or
+    /// [`ServeError::InvalidRequest`] if `system` does not read the same
+    /// number of qubits as the serving system.
     pub fn swap_model(
         &self,
         device: usize,
@@ -250,8 +263,18 @@ impl ShardedReadoutServer {
         Ok(version)
     }
 
-    /// Stages a canary candidate on one shard (see
-    /// [`ReadoutServer::stage_canary`]).
+    /// Stages `system` as `device`'s canary candidate: from now on,
+    /// `fraction` of that shard's micro-batches (by count, spread evenly
+    /// via a fractional accumulator) are answered by the candidate, and
+    /// each canary batch is also classified by the primary to feed the
+    /// divergence report ([`ServeStats::canary_divergence`], `canary_*`
+    /// fields). Batches whose shots are too short for the candidate's
+    /// feature floors stay on the primary rather than panicking the
+    /// candidate.
+    ///
+    /// Staging again replaces the previous candidate; the divergence
+    /// counters keep accumulating (snapshot [`Self::stats`] before
+    /// staging to scope a report to one candidate).
     ///
     /// # Panics
     ///
@@ -259,7 +282,10 @@ impl ShardedReadoutServer {
     ///
     /// # Errors
     ///
-    /// Same contract as [`ReadoutServer::stage_canary`].
+    /// Returns [`ServeError::Closed`] if the server already shut down,
+    /// [`ServeError::ShardDown`] if the shard's collector is dead, or
+    /// [`ServeError::InvalidRequest`] for a qubit-count mismatch or a
+    /// `fraction` outside `0.0..=1.0`.
     pub fn stage_canary(
         &self,
         device: usize,
@@ -272,10 +298,11 @@ impl ShardedReadoutServer {
         Ok(())
     }
 
-    /// Promotes one shard's staged canary to primary (see
-    /// [`ReadoutServer::promote_canary`]). The shard's restart source
-    /// tracks the promotion, so a later crash restarts the promoted
-    /// model.
+    /// Promotes `device`'s staged canary to primary — a hot swap with
+    /// the same between-batches atomicity as [`Self::swap_model`] — and
+    /// returns the shard's new model version. The canary lane is empty
+    /// afterwards. The shard's restart source tracks the promotion, so a
+    /// later crash restarts the promoted model.
     ///
     /// # Panics
     ///
@@ -283,7 +310,9 @@ impl ShardedReadoutServer {
     ///
     /// # Errors
     ///
-    /// Same contract as [`ReadoutServer::promote_canary`].
+    /// Returns [`ServeError::Closed`] if the server already shut down,
+    /// [`ServeError::ShardDown`] if the shard's collector is dead, or
+    /// [`ServeError::InvalidRequest`] if no canary is staged.
     pub fn promote_canary(&self, device: usize) -> Result<u64, ServeError> {
         let version = self.shard(device).promote_canary()?;
         // klinq-lint: allow(no-panic-serve) lock poisoning requires a prior panic, which this same rule forbids on the serve path
@@ -293,8 +322,8 @@ impl ShardedReadoutServer {
         Ok(version)
     }
 
-    /// Drops one shard's staged canary, if any (see
-    /// [`ReadoutServer::abort_canary`]).
+    /// Drops `device`'s staged canary, if any; returns whether one was
+    /// staged.
     ///
     /// # Panics
     ///
@@ -302,7 +331,8 @@ impl ShardedReadoutServer {
     ///
     /// # Errors
     ///
-    /// Same contract as [`ReadoutServer::abort_canary`].
+    /// Returns [`ServeError::Closed`] if the server already shut down,
+    /// or [`ServeError::ShardDown`] if the shard's collector is dead.
     pub fn abort_canary(&self, device: usize) -> Result<bool, ServeError> {
         let aborted = self.shard(device).abort_canary()?;
         // klinq-lint: allow(no-panic-serve) lock poisoning requires a prior panic, which this same rule forbids on the serve path
@@ -310,7 +340,8 @@ impl ShardedReadoutServer {
         Ok(aborted)
     }
 
-    /// One shard's serving model version.
+    /// One shard's serving model version (starts at 1, bumps on every
+    /// swap or promotion).
     ///
     /// # Panics
     ///
@@ -319,7 +350,7 @@ impl ShardedReadoutServer {
         self.shard(device).model_version()
     }
 
-    fn shard(&self, device: usize) -> MutexGuard<'_, ReadoutServer> {
+    fn shard(&self, device: usize) -> MutexGuard<'_, Shard> {
         assert!(
             device < self.shards.len(),
             "device {device} out of range: this fleet serves {} devices",
@@ -329,7 +360,8 @@ impl ShardedReadoutServer {
         self.shards[device].lock().unwrap()
     }
 
-    /// Per-device counter snapshots, in shard order.
+    /// Per-device counter snapshots, in shard order (the `wire_*` fields
+    /// stay zero — they belong to a wire front end's own stats).
     pub fn shard_stats(&self) -> Vec<ServeStats> {
         self.shards
             .iter()
@@ -348,10 +380,12 @@ impl ShardedReadoutServer {
             .fold(ServeStats::default(), |acc, s| acc.merge(s))
     }
 
-    /// Fleet-wide per-tenant counters: each shard's
-    /// [`ReadoutServer::tenant_stats`] merged positionally (every shard
-    /// runs the same [`SchedPolicy`](crate::sched::SchedPolicy), so
-    /// tenant `i` is the same tenant on every shard).
+    /// Fleet-wide per-tenant counters, in tenant-table order:
+    /// throughput, sheds, deadline misses, and queue-depth gauges for
+    /// each tenant declared in
+    /// [`SchedPolicy::tenants`](crate::sched::SchedPolicy::tenants),
+    /// merged positionally over shards (every shard runs the same
+    /// policy, so tenant `i` is the same tenant on every shard).
     pub fn tenant_stats(&self) -> Vec<crate::sched::TenantStats> {
         let mut merged: Vec<crate::sched::TenantStats> = Vec::new();
         for slot in self.shards.iter() {
@@ -368,10 +402,11 @@ impl ShardedReadoutServer {
         merged
     }
 
-    /// Shuts the fleet down: stops the supervision watchdog first (so
-    /// no restart races teardown), then shuts every shard down
-    /// (draining each in-flight batch) and returns the final fleet-wide
-    /// counters.
+    /// Shuts the server down: stops the supervision watchdog first (so
+    /// no restart races teardown), then stops every shard's intake,
+    /// drains each in-flight batch, joins the collectors and returns the
+    /// final fleet-wide counters. Client handles still alive afterwards
+    /// fail fast with [`ServeError::Closed`].
     pub fn shutdown(self) -> ServeStats {
         let Self {
             shards,

@@ -4,7 +4,7 @@
 //! recoverable event — never a process-wide failure. This module is the
 //! machinery behind that contract:
 //!
-//! - **Panic quarantine** (in the collector, [`crate::ReadoutServer`]):
+//! - **Panic quarantine** (in each shard's collector):
 //!   micro-batch classification runs under `catch_unwind`. When a batch
 //!   panics, every request in it replays *solo* — the batched engine is
 //!   bitwise-identical for any batch composition, so solo replays
@@ -42,7 +42,7 @@
 //! retry safely, and the wire client surfaces the typed error for
 //! exactly that purpose.
 
-use crate::server::ReadoutServer;
+use crate::server::Shard;
 use klinq_core::{persist, KlinqSystem};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
@@ -431,7 +431,7 @@ pub(crate) struct Supervisor {
 
 impl Supervisor {
     pub(crate) fn spawn(
-        shards: Arc<Vec<Mutex<ReadoutServer>>>,
+        shards: Arc<Vec<Mutex<Shard>>>,
         sources: Arc<Vec<RestartSource>>,
         config: SuperviseConfig,
     ) -> Self {
@@ -465,7 +465,7 @@ impl Drop for Supervisor {
 }
 
 fn watchdog_loop(
-    shards: &[Mutex<ReadoutServer>],
+    shards: &[Mutex<Shard>],
     sources: &[RestartSource],
     config: SuperviseConfig,
     stop: &AtomicBool,

@@ -7,24 +7,21 @@
 //!
 //! | type | body |
 //! |------|------|
-//! | `1` request  | device `u16`, priority `u8`, *(v3+)* tenant `u32` + deadline `u64` (µs, `0` = none), *(v4+)* flags `u8` (bit 0 = allow failover), shot count `u32`, shots (per shot: trace count `u16`; per trace: I count `u32`, I samples `f32`×nᵢ, Q count `u32`, Q samples `f32`×n_q) |
+//! | `1` request  | device `u16`, priority `u8`, tenant `u32`, deadline `u64` (µs, `0` = none), flags `u8` (bit 0 = allow failover), shot count `u32`, shots (per shot: trace count `u16`; per trace: I count `u32`, I samples `f32`×nᵢ, Q count `u32`, Q samples `f32`×n_q) |
 //! | `2` response | shot count `u32`, one `u8` five-qubit state mask per shot |
-//! | `3` error    | kind `u8` ([`ServeError`] variant), message (`u32` length + UTF-8), *(kind/version-specific extras — see below)* |
-//! | `4` health   | *(v4+, header only)* fleet health query |
-//! | `5` health report | *(v4+)* shard count `u16`; per shard: health `u8` ([`ShardHealth`] wire code), restarts `u64`, downs `u64` |
+//! | `3` error    | kind `u8` ([`ServeError`] variant), message (`u32` length + UTF-8), *(kind-specific extras — see below)* |
+//! | `4` health   | *(header only)* fleet health query |
+//! | `5` health report | shard count `u16`; per shard: health `u8` ([`ShardHealth`] wire code), restarts `u64`, downs `u64` |
 //!
-//! Version 3 added multi-tenant QoS: requests carry a tenant id and an
-//! optional relative deadline, and two error kinds carry typed extras —
-//! `Overloaded` (kind 2, v3 frames only) is followed by a `u64`
-//! retry-after hint in µs (`0` = no hint), and `UnknownTenant` (kind 8)
-//! by the offending tenant id as a `u32`. Version 4 added the
-//! supervision story: a request flags byte (bit 0 opts the request into
-//! health-aware failover), the fleet health query/report pair, and two
-//! error kinds (`Poisoned` = 9, `ShardDown` = 10). Decoding stays
-//! **version-tolerant**: v2 frames (no tenant/deadline fields, no
-//! `Overloaded` extra) still decode — a v2 request is simply the default
-//! tenant with no deadline — and a v3 request simply carries no flags
-//! (no failover), so PR-6/7/8 clients keep working unmodified.
+//! Two error kinds carry typed extras: `Overloaded` (kind 2) is followed
+//! by a `u64` retry-after hint in µs (`0` = no hint), and
+//! `UnknownTenant` (kind 8) by the offending tenant id as a `u32`.
+//!
+//! This build speaks exactly one protocol version, 4: a frame carrying
+//! any other version — the request-id-less v1, the tenant-less v2, the
+//! flag-less v3 — fails with a typed
+//! [`WireError::UnsupportedVersion`], the version-skew error, instead of
+//! being decoded under a guessed layout.
 //!
 //! The request id is what makes **pipelining** work: a client may put
 //! many requests in flight on one connection, and the server is free to
@@ -32,10 +29,7 @@
 //! echoes its request's id. Clients choose their own ids (the reference
 //! client counts up from 1); id `0` ([`CONNECTION_REQ_ID`]) is reserved
 //! for connection-level error frames that answer undecodable bytes,
-//! which belong to no request. Version 1 of the protocol (PR 5) had no
-//! request id and one blocking request in flight per connection; a v1
-//! peer gets a typed [`WireError::UnsupportedVersion`] — the
-//! version-skew error — instead of silent frame corruption.
+//! which belong to no request.
 //!
 //! I and Q carry separate counts so that even a ragged trace (I and Q
 //! lengths differing — which intake validation rejects) crosses the
@@ -60,18 +54,15 @@ use std::io::{self, Read, Write};
 
 /// Frame payload magic: `"KQ"` little-endian.
 pub(crate) const MAGIC: u16 = 0x514B;
-/// Protocol version this build speaks. Version 2 added the per-message
-/// request id (pipelining); version 3 added tenant ids, deadlines, and
-/// error-frame extras; version 4 added the request flags byte
-/// (failover opt-in), the fleet health query, and the
-/// `Poisoned`/`ShardDown` error kinds. Frames older than
-/// [`MIN_WIRE_VERSION`] (v1 had no request id) fail with a typed
-/// [`WireError::UnsupportedVersion`].
+/// Protocol version this build speaks: per-message request ids, tenant
+/// ids, deadlines, error-frame extras, the request flags byte (failover
+/// opt-in), the fleet health query, and the `Poisoned`/`ShardDown`
+/// error kinds.
 pub(crate) const WIRE_VERSION: u8 = 4;
-/// Oldest protocol version this build still decodes. v2 request frames
-/// carry no tenant/deadline fields and decode as the default tenant
-/// with no deadline.
-pub(crate) const MIN_WIRE_VERSION: u8 = 2;
+/// Oldest protocol version this build decodes — the current one: frames
+/// of any other version fail with a typed
+/// [`WireError::UnsupportedVersion`].
+pub(crate) const MIN_WIRE_VERSION: u8 = WIRE_VERSION;
 /// Refuse frames larger than this (256 MiB): a garbage length prefix
 /// must produce a typed error, not a giant allocation.
 pub(crate) const MAX_FRAME: u32 = 256 * 1024 * 1024;
@@ -94,7 +85,7 @@ const MSG_ERROR: u8 = 3;
 const MSG_HEALTH: u8 = 4;
 const MSG_HEALTH_REPORT: u8 = 5;
 
-/// Request flags (v4+): bit 0 opts the request into health-aware
+/// Request flags: bit 0 opts the request into health-aware
 /// failover to a healthy peer shard when its own shard is `Down`.
 const FLAG_ALLOW_FAILOVER: u8 = 1;
 
@@ -111,7 +102,7 @@ pub enum WireError {
     /// The payload does not start with the protocol magic.
     BadMagic(u16),
     /// The peer speaks a protocol version this build does not — the
-    /// typed version-skew error (e.g. a PR-5 v1 client against a v2
+    /// typed version-skew error (e.g. a v3 client against a v4
     /// server).
     UnsupportedVersion(u8),
     /// The header's message type is unknown.
@@ -168,14 +159,12 @@ pub enum WireMessage {
         priority: Priority,
         /// Tenant the request bills to (index into the server's
         /// [`SchedPolicy`](crate::sched::SchedPolicy) tenant table).
-        /// v2 frames decode as `0`, the default tenant.
         tenant: u32,
         /// Relative deadline in microseconds from server receipt; `0`
-        /// means no deadline. v2 frames decode as `0`.
+        /// means no deadline.
         deadline_us: u64,
         /// Whether the request may fail over to a healthy peer shard
-        /// when its own shard is `Down` (v4 flags bit 0; older frames
-        /// decode as `false`).
+        /// when its own shard is `Down` (flags bit 0).
         allow_failover: bool,
         /// The shots to classify. Decoded shots carry only traces (the
         /// wire sends no labels); `prepared`/`evolutions` are defaulted.
@@ -282,16 +271,9 @@ fn encode_request_body(
     }
 }
 
-/// Encodes a classification request payload for the default tenant with
-/// no deadline and no failover (see [`encode_request_opts`] for the
-/// full v3/v4 fields).
-pub fn encode_request(req_id: u64, device: u16, priority: Priority, shots: &[Shot]) -> Vec<u8> {
-    encode_request_opts(req_id, device, priority, 0, 0, false, shots)
-}
-
-/// Encodes a classification request payload with the v3 QoS fields —
-/// the tenant the request bills to and its relative deadline in
-/// microseconds (`0` = none) — and the v4 failover opt-in flag.
+/// Encodes a classification request payload: the tenant the request
+/// bills to, its relative deadline in microseconds (`0` = none), and the
+/// failover opt-in flag.
 pub fn encode_request_opts(
     req_id: u64,
     device: u16,
@@ -413,7 +395,7 @@ pub fn encode_error(req_id: u64, error: &ServeError) -> Vec<u8> {
     out
 }
 
-/// Encodes a fleet health query (header-only, v4+).
+/// Encodes a fleet health query (header-only).
 pub fn encode_health(req_id: u64) -> Vec<u8> {
     let mut out = Vec::with_capacity(12);
     header(MSG_HEALTH, req_id, &mut out);
@@ -546,25 +528,15 @@ pub fn decode_message(payload: &[u8]) -> Result<WireMessage, WireError> {
                     return Err(WireError::Malformed(format!("unknown priority byte {other}")))
                 }
             };
-            // Version tolerance: v2 requests carry no QoS fields and
-            // mean "default tenant, no deadline"; pre-v4 requests carry
-            // no flags and mean "no failover".
-            let (tenant, deadline_us) = if version >= 3 {
-                (cur.u32()?, cur.u64()?)
-            } else {
-                (0, 0)
-            };
-            let allow_failover = if version >= 4 {
-                let flags = cur.u8()?;
-                if flags & !FLAG_ALLOW_FAILOVER != 0 {
-                    return Err(WireError::Malformed(format!(
-                        "unknown request flags {flags:#04x}"
-                    )));
-                }
-                flags & FLAG_ALLOW_FAILOVER != 0
-            } else {
-                false
-            };
+            let tenant = cur.u32()?;
+            let deadline_us = cur.u64()?;
+            let flags = cur.u8()?;
+            if flags & !FLAG_ALLOW_FAILOVER != 0 {
+                return Err(WireError::Malformed(format!(
+                    "unknown request flags {flags:#04x}"
+                )));
+            }
+            let allow_failover = flags & FLAG_ALLOW_FAILOVER != 0;
             let n_shots = cur.u32()?;
             if n_shots > MAX_REQUEST_SHOTS {
                 return Err(WireError::Malformed(format!(
@@ -629,15 +601,9 @@ pub fn decode_message(payload: &[u8]) -> Result<WireMessage, WireError> {
                 0 => ServeError::Closed,
                 1 => ServeError::InvalidRequest(msg),
                 2 => {
-                    // The retry-after extra exists only on v3 frames; a
-                    // v2 `Overloaded` simply carries no hint.
-                    let retry_after = if version >= 3 {
-                        match cur.u64()? {
-                            0 => None,
-                            us => Some(std::time::Duration::from_micros(us)),
-                        }
-                    } else {
-                        None
+                    let retry_after = match cur.u64()? {
+                        0 => None,
+                        us => Some(std::time::Duration::from_micros(us)),
                     };
                     ServeError::Overloaded { retry_after }
                 }

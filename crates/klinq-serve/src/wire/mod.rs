@@ -16,27 +16,27 @@
 //! - [`reactor`]: the readiness-driven event loop serving thousands of
 //!   connections from one thread ([`WireServer`], [`WireConfig`],
 //!   [`Transport`]).
-//! - this module: the [`WireClient`], with blocking convenience calls
-//!   and a pipelined submit/receive API.
+//! - this module: the [`WireClient`], with one pipelined submit, its
+//!   blocking form, and the receive side.
 //!
 //! The [`WireServer`] submits each decoded request through an ordinary
 //! in-process [`ReadoutClient`](crate::ReadoutClient) bound to the
 //! request's device shard, so **wire requests take exactly the
 //! in-process coalescing path**: responses are bitwise-identical to a
-//! local `classify_shots` call, and wire traffic coalesces into the
+//! local `classify_shots_opts` call, and wire traffic coalesces into the
 //! same micro-batches as in-process traffic. I/Q samples travel as
 //! IEEE-754 little-endian bits, so no value is ever re-quantized in
 //! transit.
 //!
 //! # Pipelining
 //!
-//! Since protocol version 2 every frame carries a request id, so one
-//! connection can hold many requests in flight and the server answers
-//! in whatever order the micro-batches complete. [`WireClient::submit`]
-//! sends without waiting; [`WireClient::recv_response`] returns the
-//! next completed `(request id, result)` pair, whichever request it
-//! belongs to. The blocking `classify_*` calls are small wrappers that
-//! submit one request and wait for its id.
+//! Every frame carries a request id, so one connection can hold many
+//! requests in flight and the server answers in whatever order the
+//! micro-batches complete. [`WireClient::submit_to_opts`] sends without
+//! waiting; [`WireClient::recv_response`] returns the next completed
+//! `(request id, result)` pair, whichever request it belongs to. The
+//! blocking [`WireClient::classify_shots_opts`] submits one request and
+//! waits for its id.
 //!
 //! # Surviving disconnects
 //!
@@ -49,25 +49,25 @@
 //! classification is pure — equal shots give bitwise-equal states, on
 //! either model version, with no server-side state keyed to the request
 //! — resubmitting a disconnected request is idempotent, so the blocking
-//! `classify_*` wrappers retry it automatically **under the same
-//! request id**. Pipelining callers driving [`WireClient::submit`] /
-//! [`WireClient::recv_response`] directly decide for themselves which
-//! `Disconnected` results to resubmit. A server that answers
-//! [`ServeError::Draining`] is *refusing* work, not losing it, so
-//! nothing auto-retries against it.
+//! `classify_shots_opts` retries it automatically **under the same
+//! request id**. Pipelining callers driving
+//! [`WireClient::submit_to_opts`] / [`WireClient::recv_response`]
+//! directly decide for themselves which `Disconnected` results to
+//! resubmit. A server that answers [`ServeError::Draining`] is
+//! *refusing* work, not losing it, so nothing auto-retries against it.
 
 pub mod codec;
 mod conn;
 pub mod reactor;
 
 pub use codec::{
-    decode_message, encode_error, encode_request, encode_response, read_frame, write_frame,
+    decode_message, encode_error, encode_response, read_frame, write_frame,
     FrameAssembler, WireError, WireMessage, CONNECTION_REQ_ID, MAX_REQUEST_SHOTS,
 };
 pub use reactor::{Transport, WireConfig, WireServer};
 
 use crate::sched::RequestOptions;
-use crate::server::{Priority, ServeError};
+use crate::server::ServeError;
 use crate::supervise::ShardHealthReport;
 use klinq_core::ShotStates;
 use klinq_sim::Shot;
@@ -87,7 +87,7 @@ use std::time::Duration;
 pub struct ReconnectPolicy {
     /// Connect attempts per reconnect cycle before giving up with
     /// [`ServeError::Disconnected`]. Also bounds how many times a
-    /// blocking `classify_*` call resubmits one request.
+    /// blocking `classify_shots_opts` call resubmits one request.
     pub max_attempts: u32,
     /// Sleep after the first failed attempt; doubles per failure.
     pub base_delay: Duration,
@@ -124,10 +124,11 @@ fn jitter_next(state: &mut u64) -> u64 {
 }
 
 /// A wire client bound to one device shard at connect time — the same
-/// blocking call surface as the in-process
-/// [`ReadoutClient`](crate::ReadoutClient) (`classify_shots` /
-/// `classify_shot` / `classify_shots_with_priority`, returning the same
-/// [`ServeError`]s), plus the pipelined [`submit`](Self::submit) /
+/// blocking call as the in-process
+/// [`ReadoutClient`](crate::ReadoutClient)
+/// ([`classify_shots_opts`](Self::classify_shots_opts), returning the
+/// same [`ServeError`]s), plus the pipelined
+/// [`submit_to_opts`](Self::submit_to_opts) /
 /// [`recv_response`](Self::recv_response) pair for keeping many
 /// requests in flight on one connection.
 ///
@@ -238,8 +239,9 @@ impl WireClient {
 
     /// Bounds every receive: once set, a wait in
     /// [`recv_response`](Self::recv_response) (or the blocking
-    /// `classify_*` wrappers) fails with [`ServeError::Timeout`] instead
-    /// of hanging forever on a server that accepted but never replies.
+    /// [`classify_shots_opts`](Self::classify_shots_opts)) fails with
+    /// [`ServeError::Timeout`] instead of hanging forever on a server
+    /// that accepted but never replies.
     ///
     /// A timeout that expires mid-frame poisons the connection; the
     /// client notices and reconnects on the next send (see
@@ -330,10 +332,20 @@ impl WireClient {
         self.pending.len() + self.ready.len()
     }
 
-    /// Submits a classification request at [`Priority::Throughput`]
-    /// without waiting for the result; returns the request id to match
-    /// against [`recv_response`](Self::recv_response). Many submits may
-    /// be in flight at once — that is the point.
+    /// Submits a classification request for `device`'s shard under
+    /// per-request [`RequestOptions`] without waiting for the result;
+    /// returns the request id to match against
+    /// [`recv_response`](Self::recv_response). Many submits may be in
+    /// flight at once — that is the point — and the protocol routes per
+    /// request, so one pipelined connection can spread work across a
+    /// fleet's shards. Priority, tenant, deadline and the failover
+    /// opt-in travel in the request frame.
+    ///
+    /// An unknown or oversized tenant id, and an out-of-range device, are
+    /// answered by the *server* with a typed per-request error frame
+    /// ([`ServeError::UnknownTenant`], [`ServeError::InvalidRequest`])
+    /// through [`recv_response`](Self::recv_response) — the connection
+    /// stays up and every other in-flight request completes normally.
     ///
     /// # Errors
     ///
@@ -341,62 +353,6 @@ impl WireClient {
     /// exhausting the [`ReconnectPolicy`], when one is set), or
     /// [`ServeError::InvalidRequest`] for a request over the frame-size
     /// bound (refused before any byte is sent).
-    pub fn submit(&mut self, shots: &[Shot]) -> Result<u64, ServeError> {
-        self.submit_with_priority(Priority::Throughput, shots)
-    }
-
-    /// Like [`Self::submit`], with an explicit [`Priority`].
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Self::submit`].
-    pub fn submit_with_priority(
-        &mut self,
-        priority: Priority,
-        shots: &[Shot],
-    ) -> Result<u64, ServeError> {
-        self.submit_opts(RequestOptions::new().priority(priority), shots)
-    }
-
-    /// Like [`Self::submit`], with full [`RequestOptions`] — priority,
-    /// tenant, and deadline travel in the v3 request frame. An unknown
-    /// or oversized tenant id is answered by the *server* with a typed
-    /// per-request [`ServeError::UnknownTenant`] error frame through
-    /// [`recv_response`](Self::recv_response) — the connection stays up
-    /// and every other in-flight request completes normally.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Self::submit`].
-    pub fn submit_opts(&mut self, opts: RequestOptions, shots: &[Shot]) -> Result<u64, ServeError> {
-        self.submit_to_opts(self.device, opts, shots)
-    }
-
-    /// Like [`Self::submit_with_priority`], overriding the device bound
-    /// at connect time: the protocol routes per request, so one
-    /// pipelined connection can spread work across a fleet's shards.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Self::submit`]. (An out-of-range device is
-    /// answered by the *server* with [`ServeError::InvalidRequest`]
-    /// through [`recv_response`](Self::recv_response), like any other
-    /// per-request failure.)
-    pub fn submit_to(
-        &mut self,
-        device: u16,
-        priority: Priority,
-        shots: &[Shot],
-    ) -> Result<u64, ServeError> {
-        self.submit_to_opts(device, RequestOptions::new().priority(priority), shots)
-    }
-
-    /// Like [`Self::submit_opts`], overriding the device bound at
-    /// connect time.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Self::submit`].
     pub fn submit_to_opts(
         &mut self,
         device: u16,
@@ -680,53 +636,30 @@ impl WireClient {
         }
     }
 
-    /// Classifies a batch of shots over the wire at
-    /// [`Priority::Throughput`], blocking until the result arrives;
-    /// response index `i` is shot `i`'s states, bitwise-identical to an
-    /// in-process `classify_shots` call against the same shard.
+    /// Classifies a batch of shots over the wire on the shard bound at
+    /// connect time, under per-request [`RequestOptions`], blocking until
+    /// the result arrives; response index `i` is shot `i`'s states,
+    /// bitwise-identical to an in-process
+    /// [`ReadoutClient::classify_shots_opts`](crate::ReadoutClient::classify_shots_opts)
+    /// call against the same shard. The request bills to
+    /// `opts.tenant`'s queue on the server and, when `opts.deadline` is
+    /// set, is answered with a typed [`ServeError::DeadlineExceeded`]
+    /// instead of stale states if it cannot be served in time.
     ///
     /// An empty request completes without a server round trip.
     ///
     /// # Errors
     ///
     /// The server's own [`ServeError`]s pass through (`Closed`,
-    /// `Overloaded`, `InvalidRequest`, `Draining`); expired read
+    /// `Overloaded` — carrying the server's retry-after hint when the
+    /// tenant's quota shed the request — `InvalidRequest`, `Draining`,
+    /// `UnknownTenant`, `DeadlineExceeded`, `ShardDown`); expired read
     /// deadlines surface as [`ServeError::Timeout`] and protocol
     /// violations as [`ServeError::Protocol`]. A transport failure is
     /// retried idempotently under the same request id (reconnecting
     /// per the [`ReconnectPolicy`]) and surfaces as
     /// [`ServeError::Disconnected`] only once the policy is exhausted
     /// (or reconnection is disabled).
-    pub fn classify_shots(&mut self, shots: &[Shot]) -> Result<Vec<ShotStates>, ServeError> {
-        self.classify_shots_with_priority(Priority::Throughput, shots)
-    }
-
-    /// Like [`Self::classify_shots`], with an explicit [`Priority`].
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Self::classify_shots`].
-    pub fn classify_shots_with_priority(
-        &mut self,
-        priority: Priority,
-        shots: &[Shot],
-    ) -> Result<Vec<ShotStates>, ServeError> {
-        self.classify_shots_opts(RequestOptions::new().priority(priority), shots)
-    }
-
-    /// Like [`Self::classify_shots`], with full [`RequestOptions`]: the
-    /// request bills to `opts.tenant`'s queue on the server and, when
-    /// `opts.deadline` is set, is answered with a typed
-    /// [`ServeError::DeadlineExceeded`] instead of stale states if it
-    /// cannot be served in time.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Self::classify_shots`], plus the typed QoS
-    /// errors: [`ServeError::UnknownTenant`],
-    /// [`ServeError::DeadlineExceeded`], and [`ServeError::Overloaded`]
-    /// carrying the server's retry-after hint when the tenant's quota
-    /// shed the request.
     pub fn classify_shots_opts(
         &mut self,
         opts: RequestOptions,
@@ -735,7 +668,7 @@ impl WireClient {
         if shots.is_empty() {
             return Ok(Vec::new());
         }
-        let want = self.submit_opts(opts, shots)?;
+        let want = self.submit_to_opts(self.device, opts, shots)?;
         let mut resubmits = 0u32;
         loop {
             let (req_id, result) = self.recv_response()?;
@@ -761,16 +694,5 @@ impl WireClient {
                 done => return done,
             }
         }
-    }
-
-    /// Classifies one shot over the wire.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Self::classify_shots`].
-    pub fn classify_shot(&mut self, shot: &Shot) -> Result<ShotStates, ServeError> {
-        let states = self.classify_shots(std::slice::from_ref(shot))?;
-        // `classify_shots` already rejected length mismatches.
-        Ok(states[0])
     }
 }

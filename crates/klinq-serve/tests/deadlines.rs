@@ -11,8 +11,8 @@
 use klinq_core::testkit;
 use klinq_core::{Backend, BatchDiscriminator, KlinqSystem, ShotStates};
 use klinq_serve::{
-    ReadoutServer, RequestOptions, ServeConfig, ServeError, ShardedReadoutServer, TenantId,
-    TenantSpec, WireClient, WireServer,
+    RequestOptions, ServeConfig, ServeError, ShardedReadoutServer, TenantId, TenantSpec,
+    WireClient, WireServer,
 };
 use proptest::prelude::*;
 use std::net::TcpListener;
@@ -86,8 +86,8 @@ proptest! {
         let backend = if hardware { Backend::Hardware } else { Backend::Float };
         let sys = system();
         let all_shots = sys.test_data().shots();
-        let server = ReadoutServer::start(
-            Arc::clone(&sys),
+        let server = ShardedReadoutServer::start(
+            vec![Arc::clone(&sys)],
             ServeConfig {
                 backend,
                 max_batch_shots: budget,
@@ -95,7 +95,7 @@ proptest! {
                 ..ServeConfig::default()
             },
         );
-        let client = server.client();
+        let client = server.client(0);
         let (done_tx, done_rx) = mpsc::channel();
         let mut expected = Vec::new();
         for (i, &(size, shape_ix)) in sizes_and_shapes.iter().enumerate() {
@@ -172,7 +172,7 @@ proptest! {
             let start = (i * 11) % (all_shots.len() - size);
             let shots = &all_shots[start..start + size];
             let req_id = client
-                .submit_opts(options_for(shape).tenant(TenantId(0)), shots)
+                .submit_to_opts(0, options_for(shape).tenant(TenantId(0)), shots)
                 .expect("submit");
             by_req.push((req_id, shape, direct(&sys, backend, shots)));
         }
@@ -240,9 +240,9 @@ proptest! {
             fleet.shutdown();
             served
         } else {
-            let server = ReadoutServer::start(Arc::clone(&sys), config);
+            let server = ShardedReadoutServer::start(vec![Arc::clone(&sys)], config);
             let served = server
-                .client()
+                .client(0)
                 .classify_shots_opts(RequestOptions::new().deadline(deadline), shots.clone());
             server.shutdown();
             served

@@ -9,7 +9,7 @@
 //! partially corrupt deploy bundle boots the fleet degraded and heals
 //! from disk.
 
-use klinq_core::{persist, testkit, BatchDiscriminator, KlinqSystem, ShotStates};
+use klinq_core::{persist, testkit, Backend, BatchDiscriminator, KlinqSystem, ShotStates};
 use klinq_serve::{
     CrashFaults, RequestOptions, ServeConfig, ServeError, ShardHealth, ShardedReadoutServer,
     SuperviseConfig, Transport, WireClient, WireConfig, WireServer,
@@ -39,7 +39,7 @@ fn variant() -> Arc<KlinqSystem> {
 }
 
 fn direct(sys: &KlinqSystem, shots: &[klinq_sim::Shot]) -> Vec<ShotStates> {
-    BatchDiscriminator::new(sys.discriminators()).classify_shots(shots)
+    BatchDiscriminator::new(sys.discriminators()).classify_shots_on(Backend::Float, shots)
 }
 
 fn transports() -> Vec<Transport> {
@@ -131,7 +131,7 @@ fn kill_a_shard_under_load_on(transport: Transport) {
                     let start = ((round * 13 + j * 5) * SLICE) % (shots.len() - SLICE);
                     let slice = &shots[start..start + SLICE];
                     let id = client
-                        .submit_opts(RequestOptions::new().failover(true), slice)
+                        .submit_to_opts(0, RequestOptions::new().failover(true), slice)
                         .expect("submit while the fleet self-heals");
                     assert!(
                         expected.insert(id, direct(&sys, slice)).is_none(),
@@ -188,9 +188,11 @@ fn kill_a_shard_under_load_on(transport: Transport) {
     let slice = &all_shots[0..SLICE];
     let want = direct(&sys, slice);
     let over_id = probe_over
-        .submit_opts(RequestOptions::new().failover(true), slice)
+        .submit_to_opts(0, RequestOptions::new().failover(true), slice)
         .unwrap();
-    let strict_id = probe_strict.submit_opts(RequestOptions::new(), slice).unwrap();
+    let strict_id = probe_strict
+        .submit_to_opts(0, RequestOptions::new(), slice)
+        .unwrap();
     let (id, result) = probe_over.recv_response().unwrap();
     assert_eq!(id, over_id);
     assert_eq!(
@@ -259,7 +261,12 @@ fn failover_routes_in_process_and_opt_out_stays_typed() {
         },
     );
     let client = fleet.client(0);
-    assert_eq!(client.classify_shots(shots.clone()).unwrap(), want);
+    assert_eq!(
+        client
+            .classify_shots_opts(RequestOptions::new(), shots.clone())
+            .unwrap(),
+        want
+    );
 
     fleet.kill_shard(0).expect("inject the crash");
     assert!(
@@ -276,10 +283,16 @@ fn failover_routes_in_process_and_opt_out_stays_typed() {
         want
     );
     assert!(matches!(
-        client.classify_shots(shots.clone()),
+        client.classify_shots_opts(RequestOptions::new(), shots.clone()),
         Err(ServeError::ShardDown)
     ));
-    assert_eq!(fleet.client(1).classify_shots(shots).unwrap(), want);
+    assert_eq!(
+        fleet
+            .client(1)
+            .classify_shots_opts(RequestOptions::new(), shots.clone())
+            .unwrap(),
+        want
+    );
 
     let stats = fleet.stats();
     assert!(stats.failovers >= 1, "{stats:?}");
@@ -290,6 +303,43 @@ fn failover_routes_in_process_and_opt_out_stays_typed() {
     let tenants = fleet.tenant_stats();
     assert!(tenants[0].failovers >= 1, "{tenants:?}");
     fleet.shutdown();
+
+    // A lone shard has no peer to fail over to: an opted-in request
+    // still answers typed `ShardDown` — no hang, no panic — and the
+    // same handle serves bitwise-exactly once the watchdog restarts
+    // the shard. The backoff keeps the shard Down well past the probe.
+    let lone = ShardedReadoutServer::start(
+        vec![system()],
+        ServeConfig {
+            supervise: supervision(Duration::from_secs(1)),
+            ..ServeConfig::default()
+        },
+    );
+    let client = lone.client(0);
+    lone.kill_shard(0).expect("inject the crash");
+    assert!(
+        wait_for(Duration::from_secs(10), || lone.health(0) == ShardHealth::Down),
+        "watchdog never marked the lone shard down"
+    );
+    assert_eq!(
+        client.classify_shots_opts(RequestOptions::new().failover(true), shots.clone()),
+        Err(ServeError::ShardDown)
+    );
+    assert_eq!(lone.shard_health()[0].restarts, 0, "the probe must land in the Down window");
+    assert!(
+        wait_for(Duration::from_secs(30), || serving(lone.health(0))),
+        "watchdog never restarted the lone shard"
+    );
+    assert_eq!(
+        client
+            .classify_shots_opts(RequestOptions::new().failover(true), shots)
+            .expect("restarted shard serves"),
+        want
+    );
+    let stats = lone.shutdown();
+    assert_eq!(stats.failovers, 0, "no peer exists to fail over to: {stats:?}");
+    assert!(stats.shard_down_rejections >= 1, "{stats:?}");
+    assert!(stats.restarts >= 1, "{stats:?}");
 }
 
 #[test]
@@ -310,7 +360,12 @@ fn counters_stay_monotonic_across_restart_and_swap() {
     );
     let client = fleet.client(0);
     for _ in 0..3 {
-        assert_eq!(client.classify_shots(shots.clone()).unwrap(), on_primary);
+        assert_eq!(
+            client
+                .classify_shots_opts(RequestOptions::new(), shots.clone())
+                .unwrap(),
+            on_primary
+        );
     }
     let before = fleet.stats();
     assert_eq!(before.model_version, 1);
@@ -325,7 +380,12 @@ fn counters_stay_monotonic_across_restart_and_swap() {
         }),
         "shard never recovered"
     );
-    assert_eq!(client.classify_shots(shots.clone()).unwrap(), on_primary);
+    assert_eq!(
+        client
+            .classify_shots_opts(RequestOptions::new(), shots.clone())
+            .unwrap(),
+        on_primary
+    );
     let after = fleet.stats();
     assert_eq!(after.requests, before.requests + 1, "requests reset by restart");
     assert!(after.shots >= before.shots + shots.len() as u64, "shots reset");
@@ -339,7 +399,12 @@ fn counters_stay_monotonic_across_restart_and_swap() {
     // gauge survives the restart.
     let v2 = fleet.swap_model(0, Arc::clone(&alt)).expect("swap accepted");
     assert_eq!(v2, 2);
-    assert_eq!(client.classify_shots(shots.clone()).unwrap(), on_alt);
+    assert_eq!(
+        client
+            .classify_shots_opts(RequestOptions::new(), shots.clone())
+            .unwrap(),
+        on_alt
+    );
     let restarts_before = fleet.stats().restarts;
     fleet.kill_shard(0).expect("inject the second crash");
     assert!(
@@ -349,7 +414,9 @@ fn counters_stay_monotonic_across_restart_and_swap() {
         "shard never recovered from the second crash"
     );
     assert_eq!(
-        client.classify_shots(shots).unwrap(),
+        client
+            .classify_shots_opts(RequestOptions::new(), shots)
+            .unwrap(),
         on_alt,
         "restart resumed the pre-swap model"
     );
@@ -367,8 +434,8 @@ fn poisoned_requests_are_quarantined_and_batchmates_replayed() {
     // async submissions below into one micro-batch, so the poisoned
     // request genuinely takes batchmates down with it before the
     // quarantine replays them.
-    let server = klinq_serve::ReadoutServer::start(
-        system(),
+    let server = ShardedReadoutServer::start(
+        vec![system()],
         ServeConfig {
             max_linger: Duration::from_millis(300),
             max_batch_shots: usize::MAX,
@@ -376,14 +443,14 @@ fn poisoned_requests_are_quarantined_and_batchmates_replayed() {
             ..ServeConfig::default()
         },
     );
-    let client = server.client();
+    let client = server.client(0);
 
     let submit_all = |slices: &[Vec<klinq_sim::Shot>]| {
         let mut rxs = Vec::new();
         for slice in slices {
             let (tx, rx) = mpsc::channel();
             client
-                .submit_with_priority(klinq_serve::Priority::Throughput, slice.clone(), move |r| {
+                .submit_opts(RequestOptions::new(), slice.clone(), move |r| {
                     let _ = tx.send(r);
                 })
                 .expect("submission accepted");
@@ -445,7 +512,10 @@ fn poisoned_requests_are_quarantined_and_batchmates_replayed() {
         2 * poisoned.len() as u64,
         "every poisoned answer counts once: {stats:?}"
     );
-    assert!(serving(server.health()), "quarantine must keep the shard serving");
+    assert!(
+        serving(server.health(0)),
+        "quarantine must keep the shard serving"
+    );
     let tenants = server.tenant_stats();
     assert_eq!(tenants[0].poisoned, 2 * poisoned.len() as u64);
     server.shutdown();
@@ -455,14 +525,14 @@ fn poisoned_requests_are_quarantined_and_batchmates_replayed() {
 fn transient_batch_panics_are_correctness_transparent() {
     let sys = system();
     let shots = sys.test_data().shots().to_vec();
-    let server = klinq_serve::ReadoutServer::start(
-        system(),
+    let server = ShardedReadoutServer::start(
+        vec![system()],
         ServeConfig {
             crash: Some(CrashFaults::new(271_828).batch_panics(50)),
             ..ServeConfig::default()
         },
     );
-    let client = server.client();
+    let client = server.client(0);
     // Sequential single-request batches: the per-batch fault draw is
     // deterministic in batch order, and with 20 draws at 50% the fixed
     // seed guarantees hits. Every answer must still be exact — the solo
@@ -470,7 +540,9 @@ fn transient_batch_panics_are_correctness_transparent() {
     for i in 0..20 {
         let slice = &shots[i * 2..i * 2 + 2];
         assert_eq!(
-            client.classify_shots(slice.to_vec()).expect("replay answers everyone"),
+            client
+                .classify_shots_opts(RequestOptions::new(), slice.to_vec())
+                .expect("replay answers everyone"),
             direct(&sys, slice),
             "request {i} corrupted by a transient panic"
         );
@@ -528,9 +600,17 @@ fn corrupt_device_boots_degraded_and_heals_from_disk() {
 
     // The intact shard serves; the quarantined one answers typed, or
     // hands opted-in requests to its healthy peer.
-    assert_eq!(fleet.client(0).classify_shots(shots.clone()).unwrap(), want);
+    assert_eq!(
+        fleet
+            .client(0)
+            .classify_shots_opts(RequestOptions::new(), shots.clone())
+            .unwrap(),
+        want
+    );
     assert!(matches!(
-        fleet.client(1).classify_shots(shots.clone()),
+        fleet
+            .client(1)
+            .classify_shots_opts(RequestOptions::new(), shots.clone()),
         Err(ServeError::ShardDown)
     ));
     assert_eq!(
@@ -549,7 +629,13 @@ fn corrupt_device_boots_degraded_and_heals_from_disk() {
         wait_for(Duration::from_secs(30), || serving(fleet.health(1))),
         "shard never healed after the artifact was repaired"
     );
-    assert_eq!(fleet.client(1).classify_shots(shots).unwrap(), want);
+    assert_eq!(
+        fleet
+            .client(1)
+            .classify_shots_opts(RequestOptions::new(), shots)
+            .unwrap(),
+        want
+    );
     let stats = fleet.stats();
     assert!(stats.restarts >= 1, "{stats:?}");
     fleet.shutdown();

@@ -9,8 +9,8 @@
 //! the primary's, so a response tells us exactly which model served it.
 
 use klinq_core::testkit;
-use klinq_core::{BatchDiscriminator, KlinqSystem, ShotStates};
-use klinq_serve::{Priority, ReadoutServer, ServeConfig, ServeError, ShardedReadoutServer};
+use klinq_core::{Backend, BatchDiscriminator, KlinqSystem, ShotStates};
+use klinq_serve::{Priority, RequestOptions, ServeConfig, ServeError, ShardedReadoutServer};
 use proptest::prelude::*;
 use std::path::Path;
 use std::sync::mpsc;
@@ -35,7 +35,7 @@ fn variant() -> Arc<KlinqSystem> {
 }
 
 fn direct(sys: &KlinqSystem, shots: &[klinq_sim::Shot]) -> Vec<ShotStates> {
-    BatchDiscriminator::new(sys.discriminators()).classify_shots(shots)
+    BatchDiscriminator::new(sys.discriminators()).classify_shots_on(Backend::Float, shots)
 }
 
 #[test]
@@ -45,20 +45,35 @@ fn swap_model_switches_decisions_and_bumps_the_version() {
     let on_b = direct(&variant(), &shots);
     assert_ne!(on_a, on_b, "the variant must be distinguishable");
 
-    let server = ReadoutServer::start(system(), ServeConfig::default());
-    assert_eq!(server.model_version(), 1);
-    let client = server.client();
-    assert_eq!(client.classify_shots(shots.clone()).unwrap(), on_a);
+    let server = ShardedReadoutServer::start(vec![system()], ServeConfig::default());
+    assert_eq!(server.model_version(0), 1);
+    let client = server.client(0);
+    assert_eq!(
+        client
+            .classify_shots_opts(RequestOptions::new(), shots.clone())
+            .unwrap(),
+        on_a
+    );
 
-    let v2 = server.swap_model(variant()).expect("swap accepted");
+    let v2 = server.swap_model(0, variant()).expect("swap accepted");
     assert_eq!(v2, 2);
-    assert_eq!(server.model_version(), 2);
-    assert_eq!(client.classify_shots(shots.clone()).unwrap(), on_b);
+    assert_eq!(server.model_version(0), 2);
+    assert_eq!(
+        client
+            .classify_shots_opts(RequestOptions::new(), shots.clone())
+            .unwrap(),
+        on_b
+    );
 
     // And back: blue/green rollback is the same move.
-    let v3 = server.swap_model(system()).expect("swap back accepted");
+    let v3 = server.swap_model(0, system()).expect("swap back accepted");
     assert_eq!(v3, 3);
-    assert_eq!(client.classify_shots(shots).unwrap(), on_a);
+    assert_eq!(
+        client
+            .classify_shots_opts(RequestOptions::new(), shots)
+            .unwrap(),
+        on_a
+    );
 
     let stats = server.shutdown();
     assert_eq!(stats.model_swaps, 2);
@@ -72,8 +87,20 @@ fn sharded_swap_touches_only_its_device() {
     let on_b = direct(&variant(), &shots);
     let fleet = ShardedReadoutServer::start(vec![system(), system()], ServeConfig::default());
     assert_eq!(fleet.swap_model(1, variant()).unwrap(), 2);
-    assert_eq!(fleet.client(0).classify_shots(shots.clone()).unwrap(), on_a);
-    assert_eq!(fleet.client(1).classify_shots(shots.clone()).unwrap(), on_b);
+    assert_eq!(
+        fleet
+            .client(0)
+            .classify_shots_opts(RequestOptions::new(), shots.clone())
+            .unwrap(),
+        on_a
+    );
+    assert_eq!(
+        fleet
+            .client(1)
+            .classify_shots_opts(RequestOptions::new(), shots.clone())
+            .unwrap(),
+        on_b
+    );
     assert_eq!(fleet.model_version(0), 1);
     assert_eq!(fleet.model_version(1), 2);
     fleet.shutdown();
@@ -98,15 +125,15 @@ proptest! {
         let primary = system();
         let alt = variant();
         let all_shots = primary.test_data().shots();
-        let server = ReadoutServer::start(
-            system(),
+        let server = ShardedReadoutServer::start(
+            vec![system()],
             ServeConfig {
                 max_batch_shots: budget,
                 max_linger: Duration::from_micros(linger_us),
                 ..ServeConfig::default()
             },
         );
-        let client = server.client();
+        let client = server.client(0);
         let (done_tx, done_rx) = mpsc::channel();
         let mut expected = Vec::new();
         let mut submitted = 0usize;
@@ -122,7 +149,7 @@ proptest! {
                 let tag = submitted;
                 let tx = done_tx.clone();
                 client
-                    .submit_with_priority(Priority::Throughput, shots, move |result| {
+                    .submit_opts(RequestOptions::new(), shots, move |result| {
                         let _ = tx.send((tag, result));
                     })
                     .expect("intake open");
@@ -135,7 +162,7 @@ proptest! {
             } else {
                 Arc::clone(&primary)
             };
-            server.swap_model(next).expect("swap accepted");
+            server.swap_model(0, next).expect("swap accepted");
         }
         let mut got = vec![None; submitted];
         for _ in 0..submitted {
@@ -163,8 +190,8 @@ fn concurrent_swaps_never_produce_a_mixed_response() {
     // the primary's direct result or to the variant's, never a blend.
     let sys = system();
     let all_shots = sys.test_data().shots();
-    let server = Arc::new(ReadoutServer::start(
-        system(),
+    let server = Arc::new(ShardedReadoutServer::start(
+        vec![system()],
         ServeConfig {
             max_linger: Duration::from_micros(200),
             ..ServeConfig::default()
@@ -179,13 +206,15 @@ fn concurrent_swaps_never_produce_a_mixed_response() {
         let on_a = direct(&system(), &shots);
         let on_b = direct(&variant(), &shots);
         assert_ne!(on_a, on_b, "thread {t}'s slice must distinguish the models");
-        let client = server.client();
+        let client = server.client(0);
         let barrier = Arc::clone(&barrier);
         workers.push(std::thread::spawn(move || {
             barrier.wait();
             let mut seen = [false; 2];
             for _ in 0..rounds {
-                let got = client.classify_shots(shots.clone()).expect("server alive");
+                let got = client
+                    .classify_shots_opts(RequestOptions::new(), shots.clone())
+                    .expect("server alive");
                 if got == on_a {
                     seen[0] = true;
                 } else if got == on_b {
@@ -200,7 +229,7 @@ fn concurrent_swaps_never_produce_a_mixed_response() {
     barrier.wait();
     for flip in 0..10 {
         let next = if flip % 2 == 0 { variant() } else { system() };
-        server.swap_model(next).expect("swap accepted");
+        server.swap_model(0, next).expect("swap accepted");
         std::thread::sleep(Duration::from_millis(2));
     }
     let mut seen_any = [false; 2];
@@ -223,10 +252,14 @@ fn concurrent_swaps_never_produce_a_mixed_response() {
 fn an_identity_swap_is_accepted_and_keeps_serving() {
     // Swapping a model for an identically-trained one is the no-op
     // rollout; it must bump the version and keep answering.
-    let server = ReadoutServer::start(system(), ServeConfig::default());
-    assert_eq!(server.swap_model(system()).expect("swap accepted"), 2);
+    let server = ShardedReadoutServer::start(vec![system()], ServeConfig::default());
+    assert_eq!(server.swap_model(0, system()).expect("swap accepted"), 2);
     let shot = system().test_data().shot(0).clone();
-    server.client().classify_shot(shot).expect("still serving");
+    server
+        .client(0)
+        .classify_shots_opts(RequestOptions::new(), vec![shot])
+        .map(|s| s[0])
+        .expect("still serving");
     server.shutdown();
 }
 
@@ -238,16 +271,18 @@ fn canary_lane_splits_traffic_and_reports_divergence() {
     let on_b = direct(&variant(), &slice);
     assert_ne!(on_a, on_b);
 
-    let server = ReadoutServer::start(system(), ServeConfig::default());
-    let client = server.client();
+    let server = ShardedReadoutServer::start(vec![system()], ServeConfig::default());
+    let client = server.client(0);
     // Nothing staged yet: promotion is a typed error, abort a no-op.
     assert!(matches!(
-        server.promote_canary(),
+        server.promote_canary(0),
         Err(ServeError::InvalidRequest(_))
     ));
-    assert!(!server.abort_canary().unwrap());
+    assert!(!server.abort_canary(0).unwrap());
 
-    server.stage_canary(variant(), 0.5).expect("canary staged");
+    server
+        .stage_canary(0, variant(), 0.5)
+        .expect("canary staged");
     // Latency requests each close their own micro-batch, so the
     // fractional accumulator routes exactly every second batch to the
     // candidate: primary, canary, primary, canary…
@@ -255,7 +290,10 @@ fn canary_lane_splits_traffic_and_reports_divergence() {
     let n = 8;
     for _ in 0..n {
         let got = client
-            .classify_shots_with_priority(Priority::Latency, slice.clone())
+            .classify_shots_opts(
+                RequestOptions::new().priority(Priority::Latency),
+                slice.clone(),
+            )
             .expect("served");
         if got == on_b {
             canary_served += 1;
@@ -277,14 +315,19 @@ fn canary_lane_splits_traffic_and_reports_divergence() {
     );
 
     // Promotion is a hot swap: all traffic moves to the candidate.
-    let v2 = server.promote_canary().expect("promotion accepted");
+    let v2 = server.promote_canary(0).expect("promotion accepted");
     assert_eq!(v2, 2);
     for _ in 0..3 {
-        assert_eq!(client.classify_shots(slice.clone()).unwrap(), on_b);
+        assert_eq!(
+            client
+                .classify_shots_opts(RequestOptions::new(), slice.clone())
+                .unwrap(),
+            on_b
+        );
     }
     // The lane is empty again.
     assert!(matches!(
-        server.promote_canary(),
+        server.promote_canary(0),
         Err(ServeError::InvalidRequest(_))
     ));
     server.shutdown();
@@ -292,19 +335,22 @@ fn canary_lane_splits_traffic_and_reports_divergence() {
 
 #[test]
 fn canary_fraction_bounds_are_enforced_client_side() {
-    let server = ReadoutServer::start(system(), ServeConfig::default());
+    let server = ShardedReadoutServer::start(vec![system()], ServeConfig::default());
     for bad in [-0.1, 1.1, f64::NAN] {
         assert!(matches!(
-            server.stage_canary(variant(), bad),
+            server.stage_canary(0, variant(), bad),
             Err(ServeError::InvalidRequest(_))
         ));
     }
     // Staging then aborting leaves everything on the primary.
-    server.stage_canary(variant(), 1.0).expect("staged");
-    assert!(server.abort_canary().unwrap());
+    server.stage_canary(0, variant(), 1.0).expect("staged");
+    assert!(server.abort_canary(0).unwrap());
     let shots = system().test_data().shots()[..3].to_vec();
     assert_eq!(
-        server.client().classify_shots(shots.clone()).unwrap(),
+        server
+            .client(0)
+            .classify_shots_opts(RequestOptions::new(), shots.clone())
+            .unwrap(),
         direct(&system(), &shots)
     );
     server.shutdown();
@@ -314,13 +360,18 @@ fn canary_fraction_bounds_are_enforced_client_side() {
 fn a_staged_canary_survives_a_primary_swap() {
     let slice = system().test_data().shots()[..3].to_vec();
     let on_b = direct(&variant(), &slice);
-    let server = ReadoutServer::start(system(), ServeConfig::default());
+    let server = ShardedReadoutServer::start(vec![system()], ServeConfig::default());
     // Canary takes *all* batches, so the candidate's identity is
     // directly observable.
-    server.stage_canary(variant(), 1.0).expect("staged");
-    server.swap_model(system()).expect("primary swapped under canary");
+    server.stage_canary(0, variant(), 1.0).expect("staged");
+    server
+        .swap_model(0, system())
+        .expect("primary swapped under canary");
     assert_eq!(
-        server.client().classify_shots(slice).unwrap(),
+        server
+            .client(0)
+            .classify_shots_opts(RequestOptions::new(), slice)
+            .unwrap(),
         on_b,
         "the staged canary was lost in the swap"
     );
@@ -335,8 +386,8 @@ fn drift_monitor_tracks_excited_fraction_and_calibration_fidelity() {
     // Healthy model: calibration shots score against their prepared
     // states, so fidelity is the discriminator's real assignment
     // fidelity — high on the smoke system.
-    let server = ReadoutServer::start(system(), ServeConfig::default());
-    let client = server.client();
+    let server = ShardedReadoutServer::start(vec![system()], ServeConfig::default());
+    let client = server.client(0);
     client
         .classify_calibration_shots(shots.clone())
         .expect("calibration lane served");
@@ -360,9 +411,9 @@ fn drift_monitor_tracks_excited_fraction_and_calibration_fidelity() {
     // Degraded model (decisions inverted): the same calibration
     // traffic scores far worse — this is the signal an operator alarms
     // on before staging a recalibrated candidate.
-    let degraded_server = ReadoutServer::start(variant(), ServeConfig::default());
+    let degraded_server = ShardedReadoutServer::start(vec![variant()], ServeConfig::default());
     degraded_server
-        .client()
+        .client(0)
         .classify_calibration_shots(shots)
         .expect("calibration lane served");
     let degraded = degraded_server.stats();

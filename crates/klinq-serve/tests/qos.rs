@@ -6,8 +6,8 @@
 use klinq_core::testkit;
 use klinq_core::KlinqSystem;
 use klinq_serve::{
-    Priority, ReadoutServer, RequestOptions, SchedPolicy, ServeConfig, ServeError,
-    ShardedReadoutServer, TenantId, TenantSpec, WireClient, WireServer,
+    Priority, RequestOptions, SchedPolicy, ServeConfig, ServeError, ShardedReadoutServer, TenantId,
+    TenantSpec, WireClient, WireServer,
 };
 use std::net::TcpListener;
 use std::path::Path;
@@ -34,14 +34,14 @@ fn two_tenant_policy() -> SchedPolicy {
 
 #[test]
 fn tenant_identity_lands_in_per_tenant_stats() {
-    let server = ReadoutServer::start(
-        system(),
+    let server = ShardedReadoutServer::start(
+        vec![system()],
         ServeConfig {
             sched: two_tenant_policy(),
             ..ServeConfig::default()
         },
     );
-    let client = server.client();
+    let client = server.client(0);
     let shots = system().test_data().shots()[..6].to_vec();
     client
         .classify_shots_opts(RequestOptions::new().tenant(TenantId(0)), shots[..4].to_vec())
@@ -62,8 +62,8 @@ fn tenant_identity_lands_in_per_tenant_stats() {
 
 #[test]
 fn quota_overrun_sheds_typed_with_a_retry_hint() {
-    let server = ReadoutServer::start(
-        system(),
+    let server = ShardedReadoutServer::start(
+        vec![system()],
         ServeConfig {
             // A long linger holds admitted requests queued, so the
             // second bronze request meets a full quota (12 shots) while
@@ -74,7 +74,7 @@ fn quota_overrun_sheds_typed_with_a_retry_hint() {
             ..ServeConfig::default()
         },
     );
-    let client = server.client();
+    let client = server.client(0);
     let shots = system().test_data().shots().to_vec();
     // Warm the service-rate estimate: one latency-class batch executes
     // immediately and feeds the EWMA behind the retry-after hint.
@@ -124,15 +124,21 @@ fn quota_overrun_sheds_typed_with_a_retry_hint() {
 
 #[test]
 fn unknown_tenant_is_rejected_synchronously_in_process() {
-    let server = ReadoutServer::start(system(), ServeConfig::default());
-    let client = server.client();
+    let server = ShardedReadoutServer::start(vec![system()], ServeConfig::default());
+    let client = server.client(0);
     let shots = system().test_data().shots()[..2].to_vec();
     let err = client
         .classify_shots_opts(RequestOptions::new().tenant(TenantId(7)), shots.clone())
         .expect_err("tenant 7 is not in the default single-tenant table");
     assert_eq!(err, ServeError::UnknownTenant(7));
     // The server is unharmed: the default tenant still serves.
-    assert_eq!(client.classify_shots(shots).expect("served").len(), 2);
+    assert_eq!(
+        client
+            .classify_shots_opts(RequestOptions::new(), shots)
+            .expect("served")
+            .len(),
+        2
+    );
     server.shutdown();
 }
 
@@ -154,7 +160,7 @@ fn unknown_tenant_over_the_wire_is_a_typed_frame_not_a_hangup() {
     let shots = system().test_data().shots()[..3].to_vec();
 
     let bad = client
-        .submit_opts(RequestOptions::new().tenant(TenantId(u32::MAX)), &shots)
+        .submit_to_opts(0, RequestOptions::new().tenant(TenantId(u32::MAX)), &shots)
         .expect("submission is accepted; the rejection arrives as a frame");
     let (req_id, result) = client.recv_response().expect("connection stays up");
     assert_eq!(req_id, bad);

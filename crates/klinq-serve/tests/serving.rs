@@ -4,7 +4,7 @@
 
 use klinq_core::testkit;
 use klinq_core::{Backend, BatchDiscriminator, KlinqSystem};
-use klinq_serve::{Priority, ReadoutServer, ServeConfig, ServeError};
+use klinq_serve::{Priority, RequestOptions, ServeConfig, ServeError, ShardedReadoutServer};
 use std::path::Path;
 use std::sync::{Arc, Barrier, OnceLock};
 use std::time::{Duration, Instant};
@@ -25,15 +25,19 @@ fn single_client_matches_direct_batch_on_both_backends() {
     let sys = system();
     let shots = sys.test_data().shots().to_vec();
     for backend in Backend::ALL {
-        let server = ReadoutServer::start(
-            system(),
+        let server = ShardedReadoutServer::start(
+            vec![system()],
             ServeConfig {
                 backend,
                 ..ServeConfig::default()
             },
         );
-        let served = server.client().classify_shots(shots.clone()).expect("server alive");
-        let direct = BatchDiscriminator::new(sys.discriminators()).classify_shots_on(backend, &shots);
+        let served = server
+            .client(0)
+            .classify_shots_opts(RequestOptions::new(), shots.clone())
+            .expect("server alive");
+        let direct =
+            BatchDiscriminator::new(sys.discriminators()).classify_shots_on(backend, &shots);
         assert_eq!(served, direct, "served results diverged on {backend}");
         let stats = server.shutdown();
         assert_eq!(stats.shots, shots.len() as u64);
@@ -45,11 +49,12 @@ fn single_client_matches_direct_batch_on_both_backends() {
 fn four_concurrent_clients_each_get_their_own_results() {
     let sys = system();
     let shots = sys.test_data().shots();
-    let direct = BatchDiscriminator::new(sys.discriminators()).classify_shots(shots);
+    let direct =
+        BatchDiscriminator::new(sys.discriminators()).classify_shots_on(Backend::Float, shots);
 
     // Generous linger so the four clients' requests actually coalesce.
-    let server = ReadoutServer::start(
-        system(),
+    let server = ShardedReadoutServer::start(
+        vec![system()],
         ServeConfig {
             max_linger: Duration::from_millis(100),
             ..ServeConfig::default()
@@ -60,7 +65,7 @@ fn four_concurrent_clients_each_get_their_own_results() {
     let barrier = Barrier::new(n_clients);
     std::thread::scope(|scope| {
         for c in 0..n_clients {
-            let client = server.client();
+            let client = server.client(0);
             let barrier = &barrier;
             let direct = &direct;
             scope.spawn(move || {
@@ -72,7 +77,9 @@ fn four_concurrent_clients_each_get_their_own_results() {
                         .collect();
                     let mine: Vec<_> = indices.iter().map(|&i| shots[i].clone()).collect();
                     barrier.wait();
-                    let states = client.classify_shots(mine).expect("server alive");
+                    let states = client
+                        .classify_shots_opts(RequestOptions::new(), mine)
+                        .expect("server alive");
                     assert_eq!(states.len(), indices.len());
                     for (k, &i) in indices.iter().enumerate() {
                         assert_eq!(states[k], direct[i], "client {c} shot {i} diverged");
@@ -98,8 +105,8 @@ fn four_concurrent_clients_each_get_their_own_results() {
 fn oversized_request_is_never_split() {
     let sys = system();
     let shots = sys.test_data().shots().to_vec();
-    let server = ReadoutServer::start(
-        system(),
+    let server = ShardedReadoutServer::start(
+        vec![system()],
         ServeConfig {
             // Budget far below the request size: the request must still
             // be answered atomically in one oversized batch.
@@ -108,8 +115,12 @@ fn oversized_request_is_never_split() {
             ..ServeConfig::default()
         },
     );
-    let served = server.client().classify_shots(shots.clone()).expect("server alive");
-    let direct = BatchDiscriminator::new(sys.discriminators()).classify_shots(&shots);
+    let served = server
+        .client(0)
+        .classify_shots_opts(RequestOptions::new(), shots.clone())
+        .expect("server alive");
+    let direct =
+        BatchDiscriminator::new(sys.discriminators()).classify_shots_on(Backend::Float, &shots);
     assert_eq!(served, direct);
     let stats = server.shutdown();
     assert_eq!(stats.batches, 1);
@@ -120,13 +131,20 @@ fn oversized_request_is_never_split() {
 fn single_shot_api_and_empty_requests() {
     let sys = system();
     let shot = sys.test_data().shot(5).clone();
-    let server = ReadoutServer::start(system(), ServeConfig::default());
-    let client = server.client();
-    let states = client.classify_shot(shot.clone()).expect("server alive");
-    let direct = BatchDiscriminator::new(sys.discriminators()).classify_shot(&shot);
+    let server = ShardedReadoutServer::start(vec![system()], ServeConfig::default());
+    let client = server.client(0);
+    let states = client
+        .classify_shots_opts(RequestOptions::new(), vec![shot.clone()])
+        .map(|s| s[0])
+        .expect("server alive");
+    let direct =
+        BatchDiscriminator::new(sys.discriminators()).classify_shot_on(Backend::Float, &shot);
     assert_eq!(states, direct);
     // Empty requests complete locally without touching the server.
-    assert!(client.classify_shots(Vec::new()).expect("empty ok").is_empty());
+    assert!(client
+        .classify_shots_opts(RequestOptions::new(), Vec::new())
+        .expect("empty ok")
+        .is_empty());
     let stats = server.shutdown();
     assert_eq!(stats.requests, 1);
 }
@@ -138,8 +156,8 @@ fn huge_linger_does_not_panic_the_collector() {
     // until the budget fills", after which every client got `Closed`.
     let sys = system();
     let shot = sys.test_data().shot(0).clone();
-    let server = ReadoutServer::start(
-        system(),
+    let server = ShardedReadoutServer::start(
+        vec![system()],
         ServeConfig {
             max_linger: Duration::MAX,
             // Budget of one: the first request closes its own batch, so
@@ -148,10 +166,14 @@ fn huge_linger_does_not_panic_the_collector() {
             ..ServeConfig::default()
         },
     );
-    let states = server.client().classify_shot(shot.clone()).expect("server alive");
+    let states = server
+        .client(0)
+        .classify_shots_opts(RequestOptions::new(), vec![shot.clone()])
+        .map(|s| s[0])
+        .expect("server alive");
     assert_eq!(
         states,
-        BatchDiscriminator::new(sys.discriminators()).classify_shot(&shot)
+        BatchDiscriminator::new(sys.discriminators()).classify_shot_on(Backend::Float, &shot)
     );
     server.shutdown();
 }
@@ -163,18 +185,20 @@ fn shutdown_mid_coalesce_answers_the_in_flight_batch() {
     // batch and answer it, not strand the client.
     let sys = system();
     let shots = sys.test_data().shots()[..3].to_vec();
-    let direct = BatchDiscriminator::new(sys.discriminators()).classify_shots(&shots);
-    let server = ReadoutServer::start(
-        system(),
+    let direct =
+        BatchDiscriminator::new(sys.discriminators()).classify_shots_on(Backend::Float, &shots);
+    let server = ShardedReadoutServer::start(
+        vec![system()],
         ServeConfig {
             max_linger: Duration::MAX,
             max_batch_shots: usize::MAX,
             ..ServeConfig::default()
         },
     );
-    let client = server.client();
+    let client = server.client(0);
     std::thread::scope(|scope| {
-        let handle = scope.spawn(|| client.classify_shots(shots.clone()));
+        let handle =
+            scope.spawn(|| client.classify_shots_opts(RequestOptions::new(), shots.clone()));
         // Let the request open its batch before shutting down.
         std::thread::sleep(Duration::from_millis(200));
         let stats = server.shutdown();
@@ -191,23 +215,26 @@ fn latency_priority_skips_the_linger_window() {
     let shot = sys.test_data().shot(0).clone();
     // A linger long enough that a lingering batch would time the test
     // out; only the priority lane can answer quickly.
-    let server = ReadoutServer::start(
-        system(),
+    let server = ShardedReadoutServer::start(
+        vec![system()],
         ServeConfig {
             max_linger: Duration::from_secs(600),
             max_batch_shots: usize::MAX,
             ..ServeConfig::default()
         },
     );
-    let client = server.client();
+    let client = server.client(0);
     let start = Instant::now();
     let states = client
-        .classify_shots_with_priority(Priority::Latency, vec![shot.clone()])
+        .classify_shots_opts(
+            RequestOptions::new().priority(Priority::Latency),
+            vec![shot.clone()],
+        )
         .expect("server alive");
     let elapsed = start.elapsed();
     assert_eq!(
         states[0],
-        BatchDiscriminator::new(sys.discriminators()).classify_shot(&shot)
+        BatchDiscriminator::new(sys.discriminators()).classify_shot_on(Backend::Float, &shot)
     );
     assert!(
         elapsed < Duration::from_secs(60),
@@ -222,9 +249,10 @@ fn latency_priority_skips_the_linger_window() {
 fn latency_arrival_closes_a_lingering_batch() {
     let sys = system();
     let shots = sys.test_data().shots();
-    let direct = BatchDiscriminator::new(sys.discriminators()).classify_shots(shots);
-    let server = ReadoutServer::start(
-        system(),
+    let direct =
+        BatchDiscriminator::new(sys.discriminators()).classify_shots_on(Backend::Float, shots);
+    let server = ShardedReadoutServer::start(
+        vec![system()],
         ServeConfig {
             max_linger: Duration::from_secs(600),
             max_batch_shots: usize::MAX,
@@ -232,15 +260,19 @@ fn latency_arrival_closes_a_lingering_batch() {
         },
     );
     std::thread::scope(|scope| {
-        let throughput_client = server.client();
+        let throughput_client = server.client(0);
         let bulk: Vec<_> = shots[..4].to_vec();
-        let bulk_handle = scope.spawn(move || throughput_client.classify_shots(bulk));
+        let bulk_handle =
+            scope.spawn(move || throughput_client.classify_shots_opts(RequestOptions::new(), bulk));
         // Give the throughput request time to open its batch and start
         // lingering, then let a latency request cut the linger short.
         std::thread::sleep(Duration::from_millis(200));
-        let latency_client = server.client();
+        let latency_client = server.client(0);
         let states = latency_client
-            .classify_shots_with_priority(Priority::Latency, vec![shots[7].clone()])
+            .classify_shots_opts(
+                RequestOptions::new().priority(Priority::Latency),
+                vec![shots[7].clone()],
+            )
             .expect("server alive");
         assert_eq!(states[0], direct[7]);
         // The bulk request rode in the same expedited batch.
@@ -271,8 +303,8 @@ fn full_intake_queue_sheds_with_overloaded() {
         .take(copies)
         .flatten()
         .collect();
-    let server = ReadoutServer::start(
-        system(),
+    let server = ShardedReadoutServer::start(
+        vec![system()],
         ServeConfig {
             backend: Backend::Hardware,
             max_batch_shots: 1,
@@ -282,24 +314,31 @@ fn full_intake_queue_sheds_with_overloaded() {
         },
     );
     std::thread::scope(|scope| {
-        let big_client = server.client();
+        let big_client = server.client(0);
         let big_request = {
             let big = big.clone();
-            scope.spawn(move || big_client.classify_shots(big))
+            scope.spawn(move || big_client.classify_shots_opts(RequestOptions::new(), big))
         };
         // Let the collector dequeue the big request and start
         // classifying (it parks in `recv`, so pickup is immediate; the
         // classification itself takes far longer than this sleep).
         std::thread::sleep(Duration::from_millis(30));
-        let queued_client = server.client();
+        let queued_client = server.client(0);
         let queued = {
             let shot = shots[0].clone();
-            scope.spawn(move || queued_client.classify_shot(shot))
+            scope.spawn(move || {
+                queued_client
+                    .classify_shots_opts(RequestOptions::new(), vec![shot])
+                    .map(|s| s[0])
+            })
         };
         std::thread::sleep(Duration::from_millis(10));
         // Queue slot taken and the collector is busy: shed, immediately.
         let start = Instant::now();
-        let overflow = server.client().classify_shot(shots[1].clone());
+        let overflow = server
+            .client(0)
+            .classify_shots_opts(RequestOptions::new(), vec![shots[1].clone()])
+            .map(|s| s[0]);
         // A channel-full shed has no backlog estimate, so no hint.
         assert_eq!(overflow, Err(ServeError::Overloaded { retry_after: None }));
         assert!(
@@ -328,10 +367,11 @@ fn oversized_requests_scatter_one_to_one() {
     // states back — never a merged or split scatter.
     let sys = system();
     let shots = sys.test_data().shots();
-    let direct = BatchDiscriminator::new(sys.discriminators()).classify_shots(shots);
+    let direct =
+        BatchDiscriminator::new(sys.discriminators()).classify_shots_on(Backend::Float, shots);
     let half = shots.len() / 2;
-    let server = ReadoutServer::start(
-        system(),
+    let server = ShardedReadoutServer::start(
+        vec![system()],
         ServeConfig {
             max_batch_shots: 8,
             max_linger: Duration::ZERO,
@@ -342,9 +382,16 @@ fn oversized_requests_scatter_one_to_one() {
         let handles: Vec<_> = [(0, half), (half, shots.len())]
             .into_iter()
             .map(|(lo, hi)| {
-                let client = server.client();
+                let client = server.client(0);
                 let mine = shots[lo..hi].to_vec();
-                scope.spawn(move || (lo, client.classify_shots(mine).expect("server alive")))
+                scope.spawn(move || {
+                    (
+                        lo,
+                        client
+                            .classify_shots_opts(RequestOptions::new(), mine)
+                            .expect("server alive"),
+                    )
+                })
             })
             .collect();
         for handle in handles {
@@ -362,17 +409,22 @@ fn oversized_requests_scatter_one_to_one() {
 fn clients_fail_fast_after_shutdown() {
     let sys = system();
     let shot = sys.test_data().shot(0).clone();
-    let server = ReadoutServer::start(system(), ServeConfig::default());
-    let client = server.client();
+    let server = ShardedReadoutServer::start(vec![system()], ServeConfig::default());
+    let client = server.client(0);
     server.shutdown();
-    assert_eq!(client.classify_shot(shot), Err(ServeError::Closed));
+    assert_eq!(
+        client
+            .classify_shots_opts(RequestOptions::new(), vec![shot])
+            .map(|s| s[0]),
+        Err(ServeError::Closed)
+    );
 }
 
 #[test]
 fn malformed_requests_are_rejected_without_killing_the_server() {
     let sys = system();
-    let server = ReadoutServer::start(system(), ServeConfig::default());
-    let client = server.client();
+    let server = ShardedReadoutServer::start(vec![system()], ServeConfig::default());
+    let client = server.client(0);
     // Traces far below the feature front end's floor: a typed rejection,
     // not a collector panic.
     let mut bad = sys.test_data().shot(0).clone();
@@ -380,7 +432,10 @@ fn malformed_requests_are_rejected_without_killing_the_server() {
         t.i.truncate(3);
         t.q.truncate(3);
     }
-    match client.classify_shot(bad) {
+    match client
+        .classify_shots_opts(RequestOptions::new(), vec![bad])
+        .map(|s| s[0])
+    {
         Err(ServeError::InvalidRequest(msg)) => {
             assert!(msg.contains("front end"), "{msg}")
         }
@@ -388,20 +443,26 @@ fn malformed_requests_are_rejected_without_killing_the_server() {
     }
     // The server is still alive and still serves valid requests.
     let good = sys.test_data().shot(1).clone();
-    let states = client.classify_shot(good.clone()).expect("server alive");
+    let states = client
+        .classify_shots_opts(RequestOptions::new(), vec![good.clone()])
+        .map(|s| s[0])
+        .expect("server alive");
     assert_eq!(
         states,
-        BatchDiscriminator::new(sys.discriminators()).classify_shot(&good)
+        BatchDiscriminator::new(sys.discriminators()).classify_shot_on(Backend::Float, &good)
     );
     // The floor is per qubit: a mid-circuit truncation of an FNN-A qubit
     // (floor 15) below the FNN-B floor (100) is still a servable request.
     let mut truncated = sys.test_data().shot(2).clone();
     truncated.traces[0].i.truncate(72);
     truncated.traces[0].q.truncate(72);
-    let states = client.classify_shot(truncated.clone()).expect("per-qubit floor");
+    let states = client
+        .classify_shots_opts(RequestOptions::new(), vec![truncated.clone()])
+        .map(|s| s[0])
+        .expect("per-qubit floor");
     assert_eq!(
         states,
-        BatchDiscriminator::new(sys.discriminators()).classify_shot(&truncated)
+        BatchDiscriminator::new(sys.discriminators()).classify_shot_on(Backend::Float, &truncated)
     );
     let stats = server.shutdown();
     assert_eq!(stats.requests, 2, "rejected request must not be counted as served");
@@ -410,8 +471,8 @@ fn malformed_requests_are_rejected_without_killing_the_server() {
 #[test]
 fn invalid_configs_panic_at_start_not_silently_on_the_collector() {
     let zero_chunk = std::panic::catch_unwind(|| {
-        ReadoutServer::start(
-            system(),
+        ShardedReadoutServer::start(
+            vec![system()],
             ServeConfig {
                 chunk_size: Some(0),
                 ..ServeConfig::default()
@@ -420,8 +481,8 @@ fn invalid_configs_panic_at_start_not_silently_on_the_collector() {
     });
     assert!(zero_chunk.is_err(), "chunk_size Some(0) must be rejected");
     let zero_batch = std::panic::catch_unwind(|| {
-        ReadoutServer::start(
-            system(),
+        ShardedReadoutServer::start(
+            vec![system()],
             ServeConfig {
                 max_batch_shots: 0,
                 ..ServeConfig::default()
@@ -435,16 +496,20 @@ fn invalid_configs_panic_at_start_not_silently_on_the_collector() {
 fn chunk_size_override_changes_nothing_but_scheduling() {
     let sys = system();
     let shots = sys.test_data().shots().to_vec();
-    let reference = BatchDiscriminator::new(sys.discriminators()).classify_shots(&shots);
+    let reference =
+        BatchDiscriminator::new(sys.discriminators()).classify_shots_on(Backend::Float, &shots);
     for chunk in [1usize, 7, 1024] {
-        let server = ReadoutServer::start(
-            system(),
+        let server = ShardedReadoutServer::start(
+            vec![system()],
             ServeConfig {
                 chunk_size: Some(chunk),
                 ..ServeConfig::default()
             },
         );
-        let served = server.client().classify_shots(shots.clone()).expect("server alive");
+        let served = server
+            .client(0)
+            .classify_shots_opts(RequestOptions::new(), shots.clone())
+            .expect("server alive");
         assert_eq!(served, reference, "chunk {chunk} diverged");
         server.shutdown();
     }

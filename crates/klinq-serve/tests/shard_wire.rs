@@ -6,7 +6,8 @@
 use klinq_core::testkit;
 use klinq_core::{persist, Backend, BatchDiscriminator, KlinqSystem};
 use klinq_serve::{
-    wire, Priority, ServeConfig, ServeError, ShardedReadoutServer, WireClient, WireServer,
+    wire, Priority, RequestOptions, ServeConfig, ServeError, ShardedReadoutServer, WireClient,
+    WireServer,
 };
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -48,7 +49,9 @@ fn wire_clients_match_direct_batches_on_a_two_device_fleet() {
         for device in 0..2u16 {
             let mut client =
                 WireClient::connect(server.local_addr(), device).expect("connect loopback");
-            let states = client.classify_shots(&shots).expect("served over the wire");
+            let states = client
+                .classify_shots_opts(RequestOptions::new(), &shots)
+                .expect("served over the wire");
             assert_eq!(
                 states, direct,
                 "wire states diverged from direct on {backend}, device {device}"
@@ -56,9 +59,11 @@ fn wire_clients_match_direct_batches_on_a_two_device_fleet() {
         }
         // Device routing is validated at the wire front end: an unknown
         // device is a typed rejection, not a panic or a hang.
-        let mut stray =
-            WireClient::connect(server.local_addr(), 7).expect("connect loopback");
-        match stray.classify_shot(&shots[0]) {
+        let mut stray = WireClient::connect(server.local_addr(), 7).expect("connect loopback");
+        match stray
+            .classify_shots_opts(RequestOptions::new(), std::slice::from_ref(&shots[0]))
+            .map(|s| s[0])
+        {
             Err(ServeError::InvalidRequest(msg)) => assert!(msg.contains("device"), "{msg}"),
             other => panic!("expected InvalidRequest for unknown device, got {other:?}"),
         }
@@ -74,15 +79,28 @@ fn wire_clients_match_direct_batches_on_a_two_device_fleet() {
 fn in_process_sharded_clients_route_and_aggregate_stats() {
     let sys = system();
     let shots = sys.test_data().shots();
-    let direct = BatchDiscriminator::new(sys.discriminators()).classify_shots(shots);
+    let direct =
+        BatchDiscriminator::new(sys.discriminators()).classify_shots_on(Backend::Float, shots);
     let fleet = ShardedReadoutServer::start(vec![system(), system()], ServeConfig::default());
     assert_eq!(fleet.devices(), 2);
     // Device 0 sees two requests, device 1 sees one.
     let d0 = fleet.client(0);
     let d1 = fleet.client(1);
-    assert_eq!(d0.classify_shots(shots[..8].to_vec()).unwrap(), direct[..8]);
-    assert_eq!(d0.classify_shots(shots[8..12].to_vec()).unwrap(), direct[8..12]);
-    assert_eq!(d1.classify_shots(shots[12..20].to_vec()).unwrap(), direct[12..20]);
+    assert_eq!(
+        d0.classify_shots_opts(RequestOptions::new(), shots[..8].to_vec())
+            .unwrap(),
+        direct[..8]
+    );
+    assert_eq!(
+        d0.classify_shots_opts(RequestOptions::new(), shots[8..12].to_vec())
+            .unwrap(),
+        direct[8..12]
+    );
+    assert_eq!(
+        d1.classify_shots_opts(RequestOptions::new(), shots[12..20].to_vec())
+            .unwrap(),
+        direct[12..20]
+    );
     let per_shard = fleet.shard_stats();
     assert_eq!(per_shard.len(), 2);
     assert_eq!(per_shard[0].requests, 2);
@@ -108,10 +126,15 @@ fn fleet_deploys_from_a_device_bundle() {
         .expect("bundle loads into a fleet");
     assert_eq!(fleet.devices(), 2);
     let shot = sys.test_data().shot(3).clone();
-    let expected = BatchDiscriminator::new(sys.discriminators()).classify_shot(&shot);
+    let expected =
+        BatchDiscriminator::new(sys.discriminators()).classify_shot_on(Backend::Float, &shot);
     for device in 0..2 {
         assert_eq!(
-            fleet.client(device).classify_shot(shot.clone()).unwrap(),
+            fleet
+                .client(device)
+                .classify_shots_opts(RequestOptions::new(), vec![shot.clone()])
+                .map(|s| s[0])
+                .unwrap(),
             expected,
             "bundle-loaded device {device} diverged"
         );
@@ -137,12 +160,15 @@ fn wire_latency_priority_skips_the_linger_window() {
     let mut client = WireClient::connect(server.local_addr(), 0).unwrap();
     let start = Instant::now();
     let states = client
-        .classify_shots_with_priority(Priority::Latency, std::slice::from_ref(&shot))
+        .classify_shots_opts(
+            RequestOptions::new().priority(Priority::Latency),
+            std::slice::from_ref(&shot),
+        )
         .expect("served over the wire");
     let elapsed = start.elapsed();
     assert_eq!(
         states[0],
-        BatchDiscriminator::new(sys.discriminators()).classify_shot(&shot)
+        BatchDiscriminator::new(sys.discriminators()).classify_shot_on(Backend::Float, &shot)
     );
     assert!(
         elapsed < Duration::from_secs(60),
@@ -163,7 +189,8 @@ fn wire_shutdown_does_not_deadlock_on_an_in_flight_lingering_batch() {
     // its reply when the fleet closes the batch.
     let sys = system();
     let shots = sys.test_data().shots()[..3].to_vec();
-    let direct = BatchDiscriminator::new(sys.discriminators()).classify_shots(&shots);
+    let direct =
+        BatchDiscriminator::new(sys.discriminators()).classify_shots_on(Backend::Float, &shots);
     let fleet = ShardedReadoutServer::start(
         vec![system()],
         ServeConfig {
@@ -179,7 +206,7 @@ fn wire_shutdown_does_not_deadlock_on_an_in_flight_lingering_batch() {
             let shots = shots.clone();
             scope.spawn(move || {
                 let mut client = WireClient::connect(addr, 0).expect("connect loopback");
-                client.classify_shots(&shots)
+                client.classify_shots_opts(RequestOptions::new(), &shots)
             })
         };
         // Let the request reach the collector and open its batch.
@@ -213,7 +240,10 @@ fn wire_rejections_reach_the_client_typed() {
         t.i.truncate(3);
         t.q.truncate(3);
     }
-    match client.classify_shot(&bad) {
+    match client
+        .classify_shots_opts(RequestOptions::new(), std::slice::from_ref(&bad))
+        .map(|s| s[0])
+    {
         Err(ServeError::InvalidRequest(msg)) => assert!(msg.contains("front end"), "{msg}"),
         other => panic!("expected InvalidRequest, got {other:?}"),
     }
@@ -223,15 +253,21 @@ fn wire_rejections_reach_the_client_typed() {
     let mut ragged = sys.test_data().shot(4).clone();
     let shorter = ragged.traces[2].q.len() - 1;
     ragged.traces[2].q.truncate(shorter);
-    match client.classify_shot(&ragged) {
+    match client
+        .classify_shots_opts(RequestOptions::new(), std::slice::from_ref(&ragged))
+        .map(|s| s[0])
+    {
         Err(ServeError::InvalidRequest(msg)) => assert!(msg.contains("samples but Q"), "{msg}"),
         other => panic!("expected InvalidRequest for ragged trace, got {other:?}"),
     }
     // The connection survives a rejection: valid requests still serve.
     let good = sys.test_data().shot(1).clone();
     assert_eq!(
-        client.classify_shot(&good).expect("connection still serves"),
-        BatchDiscriminator::new(sys.discriminators()).classify_shot(&good)
+        client
+            .classify_shots_opts(RequestOptions::new(), std::slice::from_ref(&good))
+            .map(|s| s[0])
+            .expect("connection still serves"),
+        BatchDiscriminator::new(sys.discriminators()).classify_shot_on(Backend::Float, &good)
     );
     server.shutdown();
     fleet.shutdown();
@@ -268,8 +304,11 @@ fn garbage_frames_get_a_typed_protocol_error_not_a_dead_server() {
     let shot = sys.test_data().shot(2).clone();
     let mut client = WireClient::connect(server.local_addr(), 0).unwrap();
     assert_eq!(
-        client.classify_shot(&shot).expect("server alive"),
-        BatchDiscriminator::new(sys.discriminators()).classify_shot(&shot)
+        client
+            .classify_shots_opts(RequestOptions::new(), std::slice::from_ref(&shot))
+            .map(|s| s[0])
+            .expect("server alive"),
+        BatchDiscriminator::new(sys.discriminators()).classify_shot_on(Backend::Float, &shot)
     );
     server.shutdown();
     fleet.shutdown();

@@ -5,8 +5,8 @@
 
 use klinq_serve::wire::codec::encode_request_opts;
 use klinq_serve::wire::{
-    decode_message, encode_error, encode_request, encode_response, read_frame, FrameAssembler,
-    WireError, WireMessage,
+    decode_message, encode_error, encode_response, read_frame, FrameAssembler, WireError,
+    WireMessage,
 };
 use klinq_serve::{Priority, ServeError, Shot, ShotStates};
 use std::time::Duration;
@@ -106,7 +106,7 @@ proptest! {
         // Any strict prefix of a valid frame payload must decode to a
         // typed error — the declared counts can no longer be satisfied —
         // and must never panic or silently succeed.
-        let encoded = encode_request(7, 3, Priority::Throughput, &shots);
+        let encoded = encode_request_opts(7, 3, Priority::Throughput, 0, 0, false, &shots);
         let cut = ((encoded.len() as f64) * cut_fraction) as usize;
         prop_assume!(cut < encoded.len());
         prop_assert!(decode_message(&encoded[..cut]).is_err());
@@ -155,7 +155,7 @@ proptest! {
         // A byte stream carrying several frames must reassemble into
         // exactly those frames no matter how the transport fragments it.
         let payloads = [
-            encode_request(1, 0, Priority::Throughput, &shots),
+            encode_request_opts(1, 0, Priority::Throughput, 0, 0, false, &shots),
             encode_response(2, &states),
             encode_error(3, &ServeError::Overloaded { retry_after: None }),
         ];
@@ -211,54 +211,24 @@ fn every_error_variant_round_trips() {
     }
 }
 
-#[test]
-fn v2_frames_still_decode_as_the_default_tenant() {
-    // Version tolerance: a PR-6 v2 client sends requests with no
-    // tenant/deadline fields and `Overloaded` errors with no retry-after
-    // extra. Both must decode — as the default tenant with no deadline,
-    // and no hint — so old clients keep working against a v3 server.
-    let mut v2_req = Vec::new();
-    v2_req.extend_from_slice(&0x514Bu16.to_le_bytes());
-    v2_req.push(2); // version 2
-    v2_req.push(1); // request
-    v2_req.extend_from_slice(&9u64.to_le_bytes()); // req id
-    v2_req.extend_from_slice(&4u16.to_le_bytes()); // device
-    v2_req.push(1); // priority: latency
-    v2_req.extend_from_slice(&0u32.to_le_bytes()); // zero shots
-    match decode_message(&v2_req) {
-        Ok(WireMessage::Request {
-            req_id, device, priority, tenant, deadline_us, allow_failover, shots,
-        }) => {
-            assert_eq!(req_id, 9);
-            assert_eq!(device, 4);
-            assert_eq!(priority, Priority::Latency);
-            assert_eq!(tenant, 0, "v2 requests bill to the default tenant");
-            assert_eq!(deadline_us, 0, "v2 requests carry no deadline");
-            assert!(!allow_failover, "v2 requests never opt into failover");
-            assert!(shots.is_empty());
-        }
-        other => panic!("decoded {other:?}"),
-    }
-
-    let mut v2_err = Vec::new();
-    v2_err.extend_from_slice(&0x514Bu16.to_le_bytes());
-    v2_err.push(2); // version 2
-    v2_err.push(3); // error
-    v2_err.extend_from_slice(&9u64.to_le_bytes()); // req id
-    v2_err.push(2); // kind: Overloaded
-    v2_err.extend_from_slice(&0u32.to_le_bytes()); // empty message
-    match decode_message(&v2_err) {
-        Ok(WireMessage::Error { error, .. }) => {
-            assert_eq!(error, ServeError::Overloaded { retry_after: None });
-        }
-        other => panic!("decoded {other:?}"),
-    }
+/// A frame header (magic, version, message type, request id) as a
+/// peer speaking protocol `version` writes it.
+fn header_v(version: u8, msg_type: u8) -> Vec<u8> {
+    let mut out = Vec::new();
+    out.extend_from_slice(&0x514Bu16.to_le_bytes());
+    out.push(version);
+    out.push(msg_type);
+    out.extend_from_slice(&9u64.to_le_bytes()); // req id
+    out
 }
 
 #[test]
 fn version_skew_is_a_typed_error() {
-    // A protocol-v1 frame (PR 5: no request id) against this build must
-    // fail typed as version skew — never parse the id-less header as if
+    // This build decodes exactly one protocol version. Every older
+    // frame must fail typed as version skew — never be parsed under a
+    // guessed layout.
+    //
+    // v1 (no request id): the id-less header must not be read as if
     // eight body bytes were a request id.
     let mut v1 = Vec::new();
     v1.extend_from_slice(&0x514Bu16.to_le_bytes());
@@ -267,10 +237,44 @@ fn version_skew_is_a_typed_error() {
     v1.extend_from_slice(&0u16.to_le_bytes()); // device
     v1.push(0); // priority
     v1.extend_from_slice(&0u32.to_le_bytes()); // zero shots
-    assert!(matches!(
-        decode_message(&v1),
-        Err(WireError::UnsupportedVersion(1))
-    ));
+
+    // v2 request: no tenant/deadline fields, no flags.
+    let mut v2_req = header_v(2, 1);
+    v2_req.extend_from_slice(&4u16.to_le_bytes()); // device
+    v2_req.push(1); // priority: latency
+    v2_req.extend_from_slice(&0u32.to_le_bytes()); // zero shots
+
+    // v2 error: `Overloaded` with no retry-after extra.
+    let mut v2_err = header_v(2, 3);
+    v2_err.push(2); // kind: Overloaded
+    v2_err.extend_from_slice(&0u32.to_le_bytes()); // empty message
+
+    // v3 request: tenant and deadline, but no flags byte.
+    let mut v3_req = header_v(3, 1);
+    v3_req.extend_from_slice(&4u16.to_le_bytes()); // device
+    v3_req.push(0); // priority: throughput
+    v3_req.extend_from_slice(&1u32.to_le_bytes()); // tenant
+    v3_req.extend_from_slice(&0u64.to_le_bytes()); // no deadline
+    v3_req.extend_from_slice(&0u32.to_le_bytes()); // zero shots
+
+    // v3 error: `Overloaded` with its retry-after extra.
+    let mut v3_err = header_v(3, 3);
+    v3_err.push(2); // kind: Overloaded
+    v3_err.extend_from_slice(&0u32.to_le_bytes()); // empty message
+    v3_err.extend_from_slice(&500u64.to_le_bytes()); // retry after 500 µs
+    for (frame, version) in [
+        (&v1, 1),
+        (&v2_req, 2),
+        (&v2_err, 2),
+        (&v3_req, 3),
+        (&v3_err, 3),
+    ] {
+        assert_eq!(
+            decode_message(frame),
+            Err(WireError::UnsupportedVersion(version)),
+            "a v{version} frame must fail as version skew"
+        );
+    }
 }
 
 #[test]
@@ -292,7 +296,15 @@ fn ragged_traces_round_trip_exactly() {
     let mut shot = shot_from_samples(vec![vec![1.0, 2.0, 3.0], vec![4.0]]);
     shot.traces[0].q.truncate(1);
     shot.traces[1].q.clear();
-    let encoded = encode_request(1, 0, Priority::Throughput, std::slice::from_ref(&shot));
+    let encoded = encode_request_opts(
+        1,
+        0,
+        Priority::Throughput,
+        0,
+        0,
+        false,
+        std::slice::from_ref(&shot),
+    );
     match decode_message(&encoded) {
         Ok(WireMessage::Request { shots, .. }) => assert_eq!(shots, vec![shot]),
         other => panic!("decoded {other:?}"),
@@ -303,7 +315,7 @@ fn ragged_traces_round_trip_exactly() {
 fn hostile_shot_counts_are_capped_before_allocation() {
     // A frame declaring an absurd shot count must fail typed without
     // the decoder allocating shot structs for it.
-    let mut payload = encode_request(1, 0, Priority::Throughput, &[]);
+    let mut payload = encode_request_opts(1, 0, Priority::Throughput, 0, 0, false, &[]);
     // Overwrite the trailing u32 shot count (last 4 bytes of an empty
     // request) with u32::MAX.
     let len = payload.len();

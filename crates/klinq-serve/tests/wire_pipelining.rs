@@ -9,8 +9,8 @@
 use klinq_core::testkit;
 use klinq_core::{Backend, BatchDiscriminator, KlinqSystem};
 use klinq_serve::{
-    wire, Priority, ServeConfig, ServeError, ShardedReadoutServer, Transport, WireClient,
-    WireConfig, WireServer,
+    wire, Priority, RequestOptions, ServeConfig, ServeError, ShardedReadoutServer, Transport,
+    WireClient, WireConfig, WireServer,
 };
 use std::collections::HashMap;
 use std::net::{TcpListener, TcpStream};
@@ -50,7 +50,9 @@ fn a_server_that_accepts_but_never_replies_times_out_typed() {
     client
         .set_read_timeout(Some(Duration::from_millis(200)))
         .expect("set read timeout");
-    let req_id = client.submit(&[]).expect("request buffered by the kernel");
+    let req_id = client
+        .submit_to_opts(0, RequestOptions::new(), &[])
+        .expect("request buffered by the kernel");
     assert_eq!(req_id, 1, "client request ids start at 1");
     let t0 = Instant::now();
     match client.recv_response() {
@@ -69,7 +71,10 @@ fn a_server_that_accepts_but_never_replies_times_out_typed() {
         .set_read_timeout(Some(Duration::from_millis(200)))
         .expect("set read timeout");
     let shot = system().test_data().shot(0).clone();
-    match blocking.classify_shot(&shot) {
+    match blocking
+        .classify_shots_opts(RequestOptions::new(), std::slice::from_ref(&shot))
+        .map(|s| s[0])
+    {
         Err(ServeError::Timeout) => {}
         other => panic!("expected ServeError::Timeout, got {other:?}"),
     }
@@ -116,7 +121,7 @@ fn pipelined_requests_complete_out_of_order_and_match_direct() {
             let mut parked_ids = Vec::new();
             for r in &park {
                 let id = client
-                    .submit_to(0, Priority::Throughput, &shots[r.clone()])
+                    .submit_to_opts(0, RequestOptions::new(), &shots[r.clone()])
                     .unwrap();
                 expected.insert(id, r.clone());
                 parked_ids.push(id);
@@ -124,7 +129,11 @@ fn pipelined_requests_complete_out_of_order_and_match_direct() {
             let mut overtaking_ids = Vec::new();
             for r in &overtake {
                 let id = client
-                    .submit_to(1, Priority::Latency, &shots[r.clone()])
+                    .submit_to_opts(
+                        1,
+                        RequestOptions::new().priority(Priority::Latency),
+                        &shots[r.clone()],
+                    )
                     .unwrap();
                 expected.insert(id, r.clone());
                 overtaking_ids.push(id);
@@ -145,7 +154,11 @@ fn pipelined_requests_complete_out_of_order_and_match_direct() {
             // A latency request to device 0 expedites the parked batch;
             // the three parked responses and this one drain in any order.
             let flush_id = client
-                .submit_to(0, Priority::Latency, &shots[flush.clone()])
+                .submit_to_opts(
+                    0,
+                    RequestOptions::new().priority(Priority::Latency),
+                    &shots[flush.clone()],
+                )
                 .unwrap();
             expected.insert(flush_id, flush.clone());
             for _ in 0..=park.len() {
@@ -166,7 +179,8 @@ fn pipelined_requests_complete_out_of_order_and_match_direct() {
 fn the_connection_budget_applies_accept_backpressure() {
     let sys = system();
     let shot = sys.test_data().shot(0).clone();
-    let direct = BatchDiscriminator::new(sys.discriminators()).classify_shot(&shot);
+    let direct =
+        BatchDiscriminator::new(sys.discriminators()).classify_shot_on(Backend::Float, &shot);
     for transport in transports() {
         let fleet = ShardedReadoutServer::start(vec![system()], ServeConfig::default());
         let server = WireServer::start_with(
@@ -182,13 +196,25 @@ fn the_connection_budget_applies_accept_backpressure() {
         .unwrap();
         let mut c1 = WireClient::connect(server.local_addr(), 0).unwrap();
         let mut c2 = WireClient::connect(server.local_addr(), 0).unwrap();
-        assert_eq!(c1.classify_shot(&shot).unwrap(), direct);
-        assert_eq!(c2.classify_shot(&shot).unwrap(), direct);
+        assert_eq!(
+            c1.classify_shots_opts(RequestOptions::new(), std::slice::from_ref(&shot))
+                .map(|s| s[0])
+                .unwrap(),
+            direct
+        );
+        assert_eq!(
+            c2.classify_shots_opts(RequestOptions::new(), std::slice::from_ref(&shot))
+                .map(|s| s[0])
+                .unwrap(),
+            direct
+        );
         // The third connection handshakes (kernel backlog) but sits
         // unaccepted at the budget: its request gets no answer.
         let mut c3 = WireClient::connect(server.local_addr(), 0).unwrap();
-        c3.set_read_timeout(Some(Duration::from_millis(300))).unwrap();
-        c3.submit(std::slice::from_ref(&shot)).unwrap();
+        c3.set_read_timeout(Some(Duration::from_millis(300)))
+            .unwrap();
+        c3.submit_to_opts(0, RequestOptions::new(), std::slice::from_ref(&shot))
+            .unwrap();
         match c3.recv_response() {
             Err(ServeError::Timeout) => {}
             other => panic!("budget ignored: third connection got {other:?}"),
@@ -222,7 +248,9 @@ fn idle_connections_are_reaped_under_the_configured_timeout() {
     )
     .unwrap();
     let mut idle = WireClient::connect(server.local_addr(), 0).unwrap();
-    idle.classify_shot(&shot).expect("served before going idle");
+    idle.classify_shots_opts(RequestOptions::new(), std::slice::from_ref(&shot))
+        .map(|s| s[0])
+        .expect("served before going idle");
     std::thread::sleep(Duration::from_millis(1200));
     let stats = server.stats();
     assert_eq!(stats.wire_reaped, 1, "quiet connection not reaped");
@@ -231,21 +259,34 @@ fn idle_connections_are_reaped_under_the_configured_timeout() {
     // the server hung up, but the address still serves...
     idle.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
     assert_eq!(
-        idle.classify_shot(&shot).expect("reconnected after the reap"),
-        BatchDiscriminator::new(sys.discriminators()).classify_shot(&shot)
+        idle.classify_shots_opts(RequestOptions::new(), std::slice::from_ref(&shot))
+            .map(|s| s[0])
+            .expect("reconnected after the reap"),
+        BatchDiscriminator::new(sys.discriminators()).classify_shot_on(Backend::Float, &shot)
     );
     // ...and with reconnection disabled, the hang-up surfaces as a
     // typed `Disconnected` instead (never a panic or a silent hang).
     let mut doomed = WireClient::connect(server.local_addr(), 0).unwrap();
     doomed.set_reconnect(None);
-    doomed.classify_shot(&shot).expect("served before going idle");
+    doomed
+        .classify_shots_opts(RequestOptions::new(), std::slice::from_ref(&shot))
+        .map(|s| s[0])
+        .expect("served before going idle");
     std::thread::sleep(Duration::from_millis(1200));
-    assert_eq!(doomed.classify_shot(&shot), Err(ServeError::Disconnected));
+    assert_eq!(
+        doomed
+            .classify_shots_opts(RequestOptions::new(), std::slice::from_ref(&shot))
+            .map(|s| s[0]),
+        Err(ServeError::Disconnected)
+    );
     // ...while fresh connections serve as ever.
     let mut fresh = WireClient::connect(server.local_addr(), 0).unwrap();
     assert_eq!(
-        fresh.classify_shot(&shot).expect("server alive"),
-        BatchDiscriminator::new(sys.discriminators()).classify_shot(&shot)
+        fresh
+            .classify_shots_opts(RequestOptions::new(), std::slice::from_ref(&shot))
+            .map(|s| s[0])
+            .expect("server alive"),
+        BatchDiscriminator::new(sys.discriminators()).classify_shot_on(Backend::Float, &shot)
     );
     server.shutdown();
     fleet.shutdown();
@@ -294,7 +335,8 @@ fn the_reactor_sustains_256_pipelined_connections() {
     const SLICE: usize = 2;
     let sys = system();
     let shots = sys.test_data().shots().to_vec();
-    let direct = BatchDiscriminator::new(sys.discriminators()).classify_shots(&shots);
+    let direct =
+        BatchDiscriminator::new(sys.discriminators()).classify_shots_on(Backend::Float, &shots);
     let fleet = ShardedReadoutServer::start(
         vec![system()],
         ServeConfig {
@@ -313,7 +355,9 @@ fn the_reactor_sustains_256_pipelined_connections() {
         let mut ids = HashMap::new();
         for j in 0..REQS_PER_CONN {
             let s = start(c, j);
-            let id = client.submit(&shots[s..s + SLICE]).expect("submitted");
+            let id = client
+                .submit_to_opts(0, RequestOptions::new(), &shots[s..s + SLICE])
+                .expect("submitted");
             ids.insert(id, s);
         }
         expected.push(ids);
@@ -371,7 +415,11 @@ fn a_never_timing_out_epoll_reactor_answers_every_pipelined_latency_request() {
     let mut submit = |client: &mut WireClient, expected: &mut HashMap<u64, usize>| {
         let s = submitted % shots.len();
         let id = client
-            .submit_with_priority(Priority::Latency, &shots[s..=s])
+            .submit_to_opts(
+                0,
+                RequestOptions::new().priority(Priority::Latency),
+                &shots[s..=s],
+            )
             .expect("submitted");
         expected.insert(id, s);
         submitted += 1;

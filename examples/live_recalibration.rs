@@ -6,7 +6,8 @@
 //! Run with `cargo run --release --example live_recalibration`. The
 //! first run trains the smoke-scale system and caches it; later runs
 //! load it in milliseconds. The scenario then plays out four acts
-//! against ONE continuously running `ReadoutServer`:
+//! against ONE continuously running single-device
+//! `ShardedReadoutServer` (a 1-shard fleet, device 0):
 //!
 //! 1. **Healthy baseline** — a calibration pass (shots whose prepared
 //!    states are known) feeds the per-qubit running fidelity/confusion
@@ -27,7 +28,7 @@
 
 use klinq::core::experiments::ExperimentConfig;
 use klinq::core::{KlinqError, KlinqSystem};
-use klinq::serve::{ReadoutServer, ServeConfig, ServeStats};
+use klinq::serve::{RequestOptions, ServeConfig, ServeStats, ShardedReadoutServer};
 use klinq::sim::device::NUM_QUBITS;
 use klinq::sim::noise::GaussianSource;
 use klinq::sim::{predict_mf_fidelity, FiveQubitDevice, QubitCalibration, Shot, SimConfig};
@@ -68,17 +69,17 @@ fn main() -> Result<(), KlinqError> {
     let design_samples = primary.test_data().samples();
     let clean_shots = primary.test_data().shots().to_vec();
 
-    let server = ReadoutServer::start(
-        Arc::clone(&primary),
+    let server = ShardedReadoutServer::start(
+        vec![Arc::clone(&primary)],
         ServeConfig {
             max_linger: Duration::from_millis(1),
             ..ServeConfig::default()
         },
     );
-    let client = server.client();
+    let client = server.client(0);
     println!(
         "serving model v{} ({} shots per calibration pass, {design_samples} samples/channel)\n",
-        server.model_version(),
+        server.model_version(0),
         clean_shots.len(),
     );
 
@@ -157,11 +158,15 @@ fn main() -> Result<(), KlinqError> {
     println!("  candidate ready in {:.1}s", start.elapsed().as_secs_f32());
 
     let before_canary = server.stats();
-    server.stage_canary(Arc::clone(&candidate), CANARY_FRACTION).map_err(serve)?;
+    server
+        .stage_canary(0, Arc::clone(&candidate), CANARY_FRACTION)
+        .map_err(serve)?;
     for _ in 0..4 {
         // Production traffic (classified, not scored) plus a trickle of
         // calibration shots — the operator's usual mix.
-        client.classify_shots(drifted_shots.clone()).map_err(serve)?;
+        client
+            .classify_shots_opts(RequestOptions::new(), drifted_shots.clone())
+            .map_err(serve)?;
         client.classify_calibration_shots(drifted_shots[..32].to_vec()).map_err(serve)?;
     }
     let canary = server.stats();
@@ -174,7 +179,7 @@ fn main() -> Result<(), KlinqError> {
     );
 
     // ── Act 4: promote ───────────────────────────────────────────────
-    let v = server.promote_canary().map_err(serve)?;
+    let v = server.promote_canary(0).map_err(serve)?;
     println!("act 4 — canary promoted: now serving model v{v}");
     let before_promoted = server.stats();
     client.classify_calibration_shots(drifted_shots).map_err(serve)?;

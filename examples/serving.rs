@@ -1,6 +1,6 @@
 //! Serving: load (or train and save) a KLiNQ system as a model artifact,
-//! front it with the micro-batching `ReadoutServer`, and fire concurrent
-//! clients at it.
+//! front it with the micro-batching `ShardedReadoutServer` (one device,
+//! so a 1-shard fleet), and fire concurrent clients at it.
 //!
 //! Run with `cargo run --release --example serving [float|hardware]`.
 //! The first run trains the smoke-scale system and saves the artifact to
@@ -9,7 +9,7 @@
 
 use klinq::core::experiments::ExperimentConfig;
 use klinq::core::{Backend, KlinqError, KlinqSystem};
-use klinq::serve::{ReadoutServer, ServeConfig};
+use klinq::serve::{RequestOptions, ServeConfig, ShardedReadoutServer};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -42,8 +42,8 @@ fn main() -> Result<(), KlinqError> {
     let n_shots = shots.len();
     println!("serving {n_shots} shots on the {backend} backend …");
 
-    let server = ReadoutServer::start(
-        Arc::new(system),
+    let server = ShardedReadoutServer::start(
+        vec![Arc::new(system)],
         ServeConfig {
             backend,
             max_batch_shots: n_shots,
@@ -60,11 +60,11 @@ fn main() -> Result<(), KlinqError> {
     std::thread::scope(|scope| {
         let per_client = n_shots.div_ceil(clients);
         for chunk in shots.chunks(per_client) {
-            let client = server.client();
+            let client = server.client(0);
             scope.spawn(move || {
                 for _ in 0..rounds {
                     let states = client
-                        .classify_shots(chunk.to_vec())
+                        .classify_shots_opts(RequestOptions::new(), chunk.to_vec())
                         .expect("server alive");
                     assert_eq!(states.len(), chunk.len());
                 }
